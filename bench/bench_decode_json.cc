@@ -35,13 +35,6 @@
  * refcount audit passes and clearing the prefix cache returns every
  * block).
  *
- * The "mq_panels" scenario runs a GQA replica (Llama-2-70B/64: 4 query
- * heads per kv head) with the multi-query attention panels
- * (DecodeOptions::mqAttentionPanels) on vs off, in both KV modes — the
- * panel batching only has something to amortize when several query heads
- * share one kv history, which the OPT replica (kvHeads == nHeads) never
- * exercises.
- *
  * The "mixed_traffic" scenario drives the serving front end
  * (serve/serve_session.h) with the three traffic classes a real fleet
  * mixes — chat turns sharing a system prompt (interactive, sampled),
@@ -94,10 +87,8 @@
  *
  * The "correctness" block records machine-checkable invariants (fp32
  * decode bit-parity with full prefill, quantized-KV NMSE under its
- * bound, fused-vs-dequantize attention NMSE under its bound,
- * mq_panel_bitexact — MQ-panel decode reproduces per-head decode bit for
- * bit in every KV mode on both model shapes, the row-locality contract —
- * and paged-vs-contiguous peak ratio > 1); scripts/check_bench.py gates
+ * bound, fused-vs-dequantize attention NMSE under its bound, and
+ * paged-vs-contiguous peak ratio > 1); scripts/check_bench.py gates
  * CI on them. The fused/dequantize tokens/s ratio is recorded (not
  * gated) as fused_over_dequant_tokens_ratio. The decode kernel context
  * is the packed arm (Backend::Packed), recorded in the "simd"/"backend"
@@ -149,8 +140,7 @@ struct BatchPoint
 
 BatchPoint
 runBatchOnce(SyntheticModel &model, const KernelContext &kc, int batch,
-             int prompt_len, int new_tokens, KVCacheMode mode, bool fused,
-             bool mq)
+             int prompt_len, int new_tokens, KVCacheMode mode, bool fused)
 {
     SchedulerOptions options;
     options.maxBatch = batch;
@@ -159,7 +149,6 @@ runBatchOnce(SyntheticModel &model, const KernelContext &kc, int batch,
     options.decode.cache.mode = mode;
     options.decode.cache.tender.rowChunk = 16;
     options.decode.fusedQuantKv = fused;
-    options.decode.mqAttentionPanels = mq;
     BatchScheduler scheduler(model, options);
     for (int id = 0; id < batch; ++id) {
         GenRequest r;
@@ -185,7 +174,6 @@ runBatchOnce(SyntheticModel &model, const KernelContext &kc, int batch,
     dopt.kernels = &kc;
     dopt.cache = options.decode.cache;
     dopt.fusedQuantKv = fused;
-    dopt.mqAttentionPanels = mq;
     DecodeEngine engine(model, dopt);
     Vocab vocab(options.vocabSize, model.config().dModel,
                 options.vocabSeed);
@@ -203,13 +191,13 @@ runBatchOnce(SyntheticModel &model, const KernelContext &kc, int batch,
 BatchPoint
 runBatch(SyntheticModel &model, const KernelContext &kc, int batch,
          int prompt_len, int new_tokens, KVCacheMode mode,
-         bool fused = false, int reps = 2, bool mq = true)
+         bool fused = false, int reps = 2)
 {
     BatchPoint best = runBatchOnce(model, kc, batch, prompt_len, new_tokens,
-                                   mode, fused, mq);
+                                   mode, fused);
     for (int r = 1; r < reps; ++r) {
         const BatchPoint again = runBatchOnce(model, kc, batch, prompt_len,
-                                              new_tokens, mode, fused, mq);
+                                              new_tokens, mode, fused);
         if (again.tokensPerS > best.tokensPerS)
             best = again;
     }
@@ -956,9 +944,6 @@ struct Correctness
      *  quantization on frozen chunks). */
     double fusedNmse = 0.0;
     double fusedNmseBound = 2e-3;
-    /** MQ-panel decode == per-head decode, bit for bit, in every KV mode
-     *  on both model shapes (the panels' row-locality contract). */
-    bool mqPanelBitExact = false;
 };
 
 /** Teacher-forced decode of `input` under `base` on `kc` (prefill 8
@@ -983,33 +968,8 @@ teacherForcedDecode(SyntheticModel &model, const Matrix &input,
     return out;
 }
 
-/** MQ-panel decode vs per-head decode over every KV mode for one model:
- *  bit equality, the panels' row-locality contract made machine-checked. */
-bool
-mqPanelBitExactFor(SyntheticModel &model, const KernelContext &kc)
-{
-    const Matrix input = model.sampleInput(20, 7);
-    DecodeOptions fp32;
-    DecodeOptions quant;
-    quant.cache.mode = KVCacheMode::TenderQuantized;
-    quant.cache.tender.rowChunk = 8;
-    DecodeOptions fused = quant;
-    fused.fusedQuantKv = true;
-    for (const DecodeOptions &base : {fp32, quant, fused}) {
-        DecodeOptions mq_on = base, mq_off = base;
-        mq_on.mqAttentionPanels = true;
-        mq_off.mqAttentionPanels = false;
-        if (maxAbsDiff(teacherForcedDecode(model, input, mq_on, kc),
-                       teacherForcedDecode(model, input, mq_off, kc)) !=
-            0.f)
-            return false;
-    }
-    return true;
-}
-
 Correctness
-checkCorrectness(SyntheticModel &model, SyntheticModel &gqa_model,
-                 const KernelContext &kc)
+checkCorrectness(SyntheticModel &model, const KernelContext &kc)
 {
     Correctness c;
     const Matrix input = model.sampleInput(24, 3);
@@ -1035,9 +995,6 @@ checkCorrectness(SyntheticModel &model, SyntheticModel &gqa_model,
     DecodeOptions fused = quant;
     fused.fusedQuantKv = true;
     c.fusedNmse = nmse(dequant, decode(fused));
-
-    c.mqPanelBitExact =
-        mqPanelBitExactFor(model, kc) && mqPanelBitExactFor(gqa_model, kc);
     return c;
 }
 
@@ -1299,10 +1256,6 @@ main(int argc, char **argv)
 
     const ModelConfig config = replicaOf(modelByName("OPT-6.7B"), 32);
     SyntheticModel model(config, 5);
-    // GQA shape for the multi-query panel scenario: 4 query heads share
-    // each kv head, so the panel batching has real work to amortize.
-    const ModelConfig gqa_config = replicaOf(modelByName("Llama-2-70B"), 64);
-    SyntheticModel gqa_model(gqa_config, 7);
     KernelContext kc(Backend::Packed, workers);
 
     std::printf("== BENCH decode%s: %s (d=%d, layers=%d), prompt %d, "
@@ -1357,33 +1310,6 @@ main(int argc, char **argv)
         std::printf(" batch %d %.2fx%s", fp32[i].batch,
                     fp32[i].tokensPerS / fp32[0].tokensPerS,
                     i + 1 < fp32.size() ? "," : "\n");
-
-    // GQA multi-query panels on vs off, both KV modes, at the largest
-    // batch — the panel amortization the MQ restructure exists to buy.
-    const int mq_batch = batches.back();
-    const BatchPoint mq_fp32_on =
-        runBatch(gqa_model, kc, mq_batch, prompt_len, new_tokens,
-                 KVCacheMode::Fp32, /*fused=*/false, reps, /*mq=*/true);
-    const BatchPoint mq_fp32_off =
-        runBatch(gqa_model, kc, mq_batch, prompt_len, new_tokens,
-                 KVCacheMode::Fp32, /*fused=*/false, reps, /*mq=*/false);
-    const BatchPoint mq_fused_on =
-        runBatch(gqa_model, kc, mq_batch, prompt_len, new_tokens,
-                 KVCacheMode::TenderQuantized, /*fused=*/true, reps,
-                 /*mq=*/true);
-    const BatchPoint mq_fused_off =
-        runBatch(gqa_model, kc, mq_batch, prompt_len, new_tokens,
-                 KVCacheMode::TenderQuantized, /*fused=*/true, reps,
-                 /*mq=*/false);
-    std::printf("mq panels (GQA %s, %d q-heads/kv-head, batch %d): fp32-KV "
-                "%.1f vs %.1f tok/s (%.2fx), fused-KV %.1f vs %.1f tok/s "
-                "(%.2fx)\n",
-                gqa_config.name.c_str(),
-                gqa_config.nHeads / gqa_config.kvHeads, mq_batch,
-                mq_fp32_on.tokensPerS, mq_fp32_off.tokensPerS,
-                mq_fp32_on.tokensPerS / mq_fp32_off.tokensPerS,
-                mq_fused_on.tokensPerS, mq_fused_off.tokensPerS,
-                mq_fused_on.tokensPerS / mq_fused_off.tokensPerS);
 
     const ChurnSpec spec = churnSpec(smoke);
     const ChurnPoint churn_fp32_paged =
@@ -1626,14 +1552,13 @@ main(int argc, char **argv)
                     spec_pl[a][1].tokensPerS, spec_pl[a][1].acceptance,
                     spec_dm[a][1].tokensPerS, spec_dm[a][1].acceptance);
 
-    const Correctness correct = checkCorrectness(model, gqa_model, kc);
+    const Correctness correct = checkCorrectness(model, kc);
     std::printf("correctness: fp32 decode %s full prefill, tender-KV "
                 "nmse %.3g (bound %.3g), fused-attention nmse %.3g "
-                "(bound %.3g), mq panels %s\n",
+                "(bound %.3g)\n",
                 correct.fp32BitExact ? "bit-identical to" : "DIVERGES from",
                 correct.tenderNmse, correct.tenderNmseBound,
-                correct.fusedNmse, correct.fusedNmseBound,
-                correct.mqPanelBitExact ? "bit-exact" : "DIVERGED");
+                correct.fusedNmse, correct.fusedNmseBound);
 
     FILE *f = std::fopen(out_path, "w");
     if (!f) {
@@ -1666,23 +1591,6 @@ main(int argc, char **argv)
     emitMode(f, "tender_kv_fused", fusedq, true);
     std::fprintf(f, "  \"fused_over_dequant_tokens_ratio\": %.3f,\n",
                  fused_ratio);
-    std::fprintf(f, "  \"mq_panels\": {\n");
-    std::fprintf(f,
-                 "    \"model\": \"%s\", \"q_heads_per_kv_head\": %d, "
-                 "\"batch\": %d,\n",
-                 gqa_config.name.c_str(),
-                 gqa_config.nHeads / gqa_config.kvHeads, mq_batch);
-    std::fprintf(f,
-                 "    \"fp32_kv\": {\"on_tokens_per_s\": %.2f, "
-                 "\"off_tokens_per_s\": %.2f, \"ratio\": %.3f},\n",
-                 mq_fp32_on.tokensPerS, mq_fp32_off.tokensPerS,
-                 mq_fp32_on.tokensPerS / mq_fp32_off.tokensPerS);
-    std::fprintf(f,
-                 "    \"tender_kv_fused\": {\"on_tokens_per_s\": %.2f, "
-                 "\"off_tokens_per_s\": %.2f, \"ratio\": %.3f}\n",
-                 mq_fused_on.tokensPerS, mq_fused_off.tokensPerS,
-                 mq_fused_on.tokensPerS / mq_fused_off.tokensPerS);
-    std::fprintf(f, "  },\n");
     emitChurn(f, "churn_fp32", churn_fp32_paged, churn_fp32_contig, true);
     emitChurn(f, "churn_tender", churn_tender_paged, churn_tender_contig,
               true);
@@ -1792,12 +1700,10 @@ main(int argc, char **argv)
                  "\"tender_kv_nmse\": %.6g, "
                  "\"tender_kv_nmse_bound\": %.3g, "
                  "\"fused_attention_nmse\": %.6g, "
-                 "\"fused_attention_nmse_bound\": %.3g, "
-                 "\"mq_panel_bitexact\": %s},\n",
+                 "\"fused_attention_nmse_bound\": %.3g},\n",
                  correct.fp32BitExact ? "true" : "false",
                  correct.tenderNmse, correct.tenderNmseBound,
-                 correct.fusedNmse, correct.fusedNmseBound,
-                 correct.mqPanelBitExact ? "true" : "false");
+                 correct.fusedNmse, correct.fusedNmseBound);
     std::fprintf(f, "  \"fp32_batched_speedup\": {");
     for (size_t i = 1; i < fp32.size(); ++i)
         std::fprintf(f, "\"batch_%d\": %.3f%s", fp32[i].batch,
@@ -1810,10 +1716,9 @@ main(int argc, char **argv)
     return correct.fp32BitExact &&
                    correct.tenderNmse < correct.tenderNmseBound &&
                    correct.fusedNmse < correct.fusedNmseBound &&
-                   correct.mqPanelBitExact && prefix_bitexact &&
-                   refcounts_ok && order_independent && preempt_bitexact &&
-                   preempt_accounting_ok && fault_bitexact &&
-                   fault_accounting_ok && spec_bitexact
+                   prefix_bitexact && refcounts_ok && order_independent &&
+                   preempt_bitexact && preempt_accounting_ok &&
+                   fault_bitexact && fault_accounting_ok && spec_bitexact
                ? 0
                : 1;
 }

@@ -17,8 +17,7 @@
  *
  * A third arm always runs the quantized cache through the fused
  * integer-domain attention path (attentionFusedQuantPanel): scores and
- * probs*V consume the KV chunk codes in place, no fp32 materialization
- * (--fused-kv is accepted for compatibility but is no longer needed).
+ * probs*V consume the KV chunk codes in place, no fp32 materialization.
  * Every arm reports a per-phase timing breakdown (projections, K/V
  * append/requant, history materialization or view building, attention)
  * plus the achieved projection-GEMM MFLOP/s next to the kernel arm in
@@ -69,8 +68,8 @@
  *
  * Unknown flags are rejected with a usage line listing every mode.
  *
- *   $ ./examples/generate [n_tokens] [--fused-kv] [--shared-prefix]
- *                         [--sample] [--preempt] [--faults] [--speculate]
+ *   $ ./examples/generate [n_tokens] [--shared-prefix] [--sample]
+ *                         [--preempt] [--faults] [--speculate]
  */
 
 #include <algorithm>
@@ -613,7 +612,6 @@ printPhases(const char *arm, const DecodePhaseTimes &p, double proj_flops)
 int
 run(int argc, char **argv)
 {
-    bool fused_kv = false;
     bool shared_prefix = false;
     bool sample = false;
     bool preempt = false;
@@ -621,9 +619,7 @@ run(int argc, char **argv)
     bool speculate = false;
     int n_tokens = 20;
     for (int i = 1; i < argc; ++i) {
-        if (std::strcmp(argv[i], "--fused-kv") == 0) {
-            fused_kv = true; // accepted for compatibility; always on now
-        } else if (std::strcmp(argv[i], "--shared-prefix") == 0) {
+        if (std::strcmp(argv[i], "--shared-prefix") == 0) {
             shared_prefix = true;
         } else if (std::strcmp(argv[i], "--sample") == 0) {
             sample = true;
@@ -636,13 +632,11 @@ run(int argc, char **argv)
         } else if (argv[i][0] == '-') {
             std::fprintf(stderr,
                          "unknown option '%s'\n"
-                         "usage: %s [n_tokens] [--fused-kv] "
-                         "[--shared-prefix] [--sample] [--preempt] "
-                         "[--faults] [--speculate]\n"
+                         "usage: %s [n_tokens] [--shared-prefix] "
+                         "[--sample] [--preempt] [--faults] "
+                         "[--speculate]\n"
                          "  n_tokens         tokens to generate per arm "
                          "(default 20)\n"
-                         "  --fused-kv       accepted for compatibility; "
-                         "the fused arm always runs\n"
                          "  --shared-prefix  COW prefix-cache walkthrough "
                          "(shared system prompt)\n"
                          "  --sample         seeded-sampling streaming "
@@ -689,7 +683,6 @@ run(int argc, char **argv)
         runtimeGenerate(model, vocab, prompt, n_tokens, quant_options);
     const GenRun fused =
         runtimeGenerate(model, vocab, prompt, n_tokens, fused_options);
-    (void)fused_kv;
     const std::vector<int> reference =
         prefillGenerate(model, vocab, prompt, n_tokens);
 

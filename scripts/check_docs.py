@@ -16,6 +16,9 @@ Fails (exit 1) when documentation has rotted behind the code:
      DecodeOptions, ServeSessionOptions, KVCacheConfig — is documented
      in docs/tuning.md. Fields are parsed from the struct bodies in the
      headers, so adding a knob without documenting it fails CI.
+     Conversely, every row of a ## `Struct` table in docs/tuning.md must
+     name a current field of that struct, so removing a knob without
+     deleting its row fails CI too.
   5. Every relative markdown link in README.md, ROADMAP.md, CHANGES.md,
      and docs/*.md resolves to an existing file (anchors are stripped;
      http(s) links and GitHub-web-relative badge paths are not checked).
@@ -136,9 +139,27 @@ def struct_fields(struct_name, path):
     return fields
 
 
+def struct_table_rows(tuning):
+    """{struct: [first-column names]} for each ## `Struct` table."""
+    rows = {}
+    struct = None
+    for line in tuning.split("\n"):
+        if line.startswith("## "):
+            m = re.match(r"## `(\w+)`", line)
+            struct = m.group(1) if m else None
+            if struct is not None:
+                rows[struct] = []
+        elif struct is not None:
+            m = re.match(r"\|\s*`(\w+)`\s*\|", line)
+            if m:
+                rows[struct].append(m.group(1))
+    return rows
+
+
 def check_tuning_table():
     tuning = read("docs/tuning.md")
     missing = []
+    stale = []
 
     for var, where in sorted({**env_vars_in_sources(),
                               **env_vars_in_scripts(),
@@ -147,15 +168,29 @@ def check_tuning_table():
             missing.append(f"{var} (from {where})")
 
     n_fields = 0
+    fields = {}
     for struct, path in OPTION_STRUCTS.items():
-        for field in struct_fields(struct, path):
+        fields[struct] = struct_fields(struct, path)
+        for field in fields[struct]:
             n_fields += 1
             if not re.search(rf"`{re.escape(field)}`", tuning):
                 missing.append(f"{struct}::{field} (from {path})")
 
+    for struct, names in struct_table_rows(tuning).items():
+        if struct not in fields:
+            stale.append(f"## `{struct}` table (struct not in "
+                         "check_docs.py OPTION_STRUCTS)")
+            continue
+        stale += [f"{struct}::{name} (no such field in "
+                  f"{OPTION_STRUCTS[struct]})"
+                  for name in names if name not in fields[struct]]
+
     if missing:
         fail("docs/tuning.md is missing documentation for:\n  " +
              "\n  ".join(missing))
+    if stale:
+        fail("docs/tuning.md documents fields that no longer exist:\n  " +
+             "\n  ".join(stale))
     print(f"check_docs: docs/tuning.md covers every TENDER_* variable, "
           f"CMake option, and all {n_fields} options-struct fields")
 

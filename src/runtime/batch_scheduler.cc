@@ -496,7 +496,6 @@ BatchScheduler::step()
     DecodeStepConfig step;
     step.scheme = options_.decode.scheme;
     step.fusedQuantKv = options_.decode.fusedQuantKv;
-    step.mqAttentionPanels = options_.decode.mqAttentionPanels;
     step.phases = options_.decode.phases;
     const Matrix hidden = decodeStep(model_, x, segments, step, kernels());
     ++stats_.steps;

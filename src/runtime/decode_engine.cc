@@ -62,7 +62,7 @@ class PhaseTimer
  * mapping (row r is new token r % t of its head); every kernel in the
  * chain is row-local, so each panel row is bit-identical to a heads=1
  * attentionHeadIncremental on that head alone — which keeps fp32-KV
- * decode bit-identical to prefill with MQ panels on or off.
+ * decode bit-identical to prefill.
  */
 Matrix
 attentionPanelIncremental(const Matrix &q, int heads, const Matrix &k,
@@ -285,14 +285,6 @@ attentionFusedQuantPanel(const Matrix &q, int heads, const KVCodeView &keys,
 }
 
 Matrix
-attentionHeadFusedQuant(const Matrix &q, const KVCodeView &keys,
-                        const KVCodeView &values, int pos0,
-                        const KernelContext &kc)
-{
-    return attentionFusedQuantPanel(q, 1, keys, values, pos0, kc);
-}
-
-Matrix
 decodeBlockForward(const Matrix &x, int layer, const BlockWeights &w,
                    const ModelConfig &config,
                    const std::vector<DecodeSegment> &segments,
@@ -330,96 +322,108 @@ decodeBlockForward(const Matrix &x, int layer, const BlockWeights &w,
     timer.accumulate(&DecodePhaseTimes::projectionsUs);
 
     // Speculative verification segments over a quantized cache must
-    // replay single-row *step grouping* — row r's attention reads the
-    // open chunk requantized over the rows present at its own step's end
-    // — so they are excluded from the bulk append/history/attention
-    // fan-outs below and handled row by row afterwards. Fp32 caches are
-    // grouping-invariant, so speculative fp32 segments keep the bulk
-    // path.
-    const auto rowSequential = [](const DecodeSegment &seg) {
-        return seg.speculative &&
-            seg.cache->config().mode == KVCacheMode::TenderQuantized;
-    };
-
-    // Per-segment K/V appends (requantization in quantized caches) are
-    // independent — each task touches only its own cache.
-    kc.parallelFor(0, int64_t(segments.size()), 1,
-                   [&](int64_t s0, int64_t s1) {
-        for (int64_t si = s0; si < s1; ++si) {
-            const DecodeSegment &seg = segments[size_t(si)];
-            if (rowSequential(seg))
-                continue;
-            seg.cache->appendRows(layer, xk, xv, seg.row0, seg.rows);
+    // replay single-row *step grouping*: row r's attention reads the open
+    // chunk requantized over the rows present at its own step's end,
+    // never over later draft rows. Such a segment is therefore split into
+    // single-row *waves*: wave 0 holds every other segment whole plus
+    // row 0 of each such segment, and wave w holds row w of each such
+    // segment that long. Fp32 caches are grouping-invariant, so
+    // speculative fp32 segments stay whole in wave 0, and a step without
+    // speculative quantized segments is exactly one wave.
+    // Only append/history/attention run per wave; the projections above
+    // already covered every row (row-local, so batching them is exact).
+    std::vector<std::vector<DecodeSegment>> waves(1);
+    for (const DecodeSegment &seg : segments) {
+        if (!seg.speculative ||
+            seg.cache->config().mode != KVCacheMode::TenderQuantized) {
+            waves[0].push_back(seg);
+            continue;
         }
-    });
-    timer.accumulate(&DecodePhaseTimes::appendUs);
+        if (waves.size() < size_t(seg.rows))
+            waves.resize(size_t(seg.rows));
+        for (int r = 0; r < seg.rows; ++r)
+            waves[size_t(r)].push_back(
+                {seg.cache, seg.row0 + r, 1, seg.pos0 + r});
+    }
 
-    // Gather each (segment, kv-head) history exactly once — under
-    // grouped-query attention several query heads share a kv head. On the
-    // fused path a quantized history is a zero-copy chunk-code view into
-    // the pool pages (plus the small dequantized open chunk); otherwise it
-    // is fully materialized (a dequantize pass, frozen chunks memoized by
-    // the cache).
+    // Each wave runs one append -> history -> attention fan-out. Caches
+    // are disjoint, so every cache sees its appends and reads in the same
+    // order as a row-at-a-time replay, and the views a wave gathers are
+    // consumed before the next wave appends (an append invalidates them).
     //
-    // Failure containment: a cache whose append faulted this step (see
+    // Failure containment: a cache whose append faulted (see
     // KVCache::appendRows) may hold stores of uneven length, so its
-    // history must not be read — every fan-out below skips failed
-    // segments. Their attention rows stay zero (Matrix zero-initializes),
+    // history must not be read. Its later appends are no-ops and every
+    // later history/attention task — this wave's and the next waves' —
+    // skips it. Its attention rows stay zero (Matrix zero-initializes),
     // the batched projections still run over them (row-local, so garbage
     // rows influence nobody else's rows), and the scheduler retires the
     // owning request after the step. Co-scheduled segments compute
     // exactly what they would have computed in a fault-free run.
     const int kv_heads = config.kvHeads;
+    const int group = config.nHeads / kv_heads;
     struct HeadHistory
     {
         Matrix k, v;             ///< materialized (oracle path)
         KVCodeView kCodes, vCodes; ///< fused path
         bool fused = false;
     };
-    std::vector<HeadHistory> hist(segments.size() * size_t(kv_heads));
-    kc.parallelFor(0, int64_t(segments.size()) * int64_t(kv_heads), 1,
-                   [&](int64_t t0, int64_t t1) {
-        for (int64_t t = t0; t < t1; ++t) {
-            const DecodeSegment &seg =
-                segments[size_t(t) / size_t(kv_heads)];
-            const int kvh = int(t % int64_t(kv_heads));
-            if (seg.cache->failed() || rowSequential(seg))
-                continue;
-            HeadHistory &hh = hist[size_t(t)];
-            if (step.fusedQuantKv &&
-                seg.cache->config().mode == KVCacheMode::TenderQuantized) {
-                hh.kCodes = seg.cache->keyView(layer, kvh);
-                hh.vCodes = seg.cache->valueView(layer, kvh);
-                hh.fused = true;
-            } else {
-                hh.k = seg.cache->keys(layer, kvh);
-                hh.v = seg.cache->values(layer, kvh);
-            }
-        }
-    });
-    timer.accumulate(&DecodePhaseTimes::historyUs);
-
-    // Attention stays per request (distinct KV histories). With MQ panels
-    // on (the default), the fan-out is per (segment, kv-head): the
-    // nHeads/kvHeads query heads sharing a kv head run as one stacked
-    // panel call, so each frozen chunk is read (and its per-chunk
-    // fold/scale work paid) once per kv head instead of once per query
-    // head. Panels are row-local, so both fan-outs produce bit-identical
-    // output; either way tasks write disjoint output tiles, so the
-    // parallel fan-out is bit-reproducible with any worker count.
     Matrix attn(x.rows(), config.dModel);
-    if (step.mqAttentionPanels) {
-        const int group = config.nHeads / kv_heads;
-        kc.parallelFor(0, int64_t(segments.size()) * int64_t(kv_heads), 1,
-                       [&](int64_t t0, int64_t t1) {
+    for (const std::vector<DecodeSegment> &wave : waves) {
+        const int64_t tasks = int64_t(wave.size()) * int64_t(kv_heads);
+
+        // Per-segment K/V appends (requantization in quantized caches)
+        // are independent — each task touches only its own cache.
+        kc.parallelFor(0, int64_t(wave.size()), 1,
+                       [&](int64_t s0, int64_t s1) {
+            for (int64_t si = s0; si < s1; ++si) {
+                const DecodeSegment &seg = wave[size_t(si)];
+                seg.cache->appendRows(layer, xk, xv, seg.row0, seg.rows);
+            }
+        });
+        timer.accumulate(&DecodePhaseTimes::appendUs);
+
+        // Gather each (segment, kv-head) history exactly once — under
+        // grouped-query attention several query heads share a kv head.
+        // On the fused path a quantized history is a zero-copy chunk-code
+        // view into the pool pages (plus the small dequantized open
+        // chunk); otherwise it is fully materialized (a dequantize pass,
+        // frozen chunks memoized by the cache).
+        std::vector<HeadHistory> hist(static_cast<size_t>(tasks));
+        kc.parallelFor(0, tasks, 1, [&](int64_t t0, int64_t t1) {
             for (int64_t t = t0; t < t1; ++t) {
-                const size_t si = size_t(t) / size_t(kv_heads);
-                const DecodeSegment &seg = segments[si];
-                const int kvh = int(t % int64_t(kv_heads));
-                if (seg.cache->failed() || rowSequential(seg))
+                const DecodeSegment &seg = wave[size_t(t / kv_heads)];
+                const int kvh = int(t % kv_heads);
+                if (seg.cache->failed())
                     continue;
-                const HeadHistory &hh =
-                    hist[si * size_t(kv_heads) + size_t(kvh)];
+                HeadHistory &hh = hist[size_t(t)];
+                if (step.fusedQuantKv && seg.cache->config().mode ==
+                                             KVCacheMode::TenderQuantized) {
+                    hh.kCodes = seg.cache->keyView(layer, kvh);
+                    hh.vCodes = seg.cache->valueView(layer, kvh);
+                    hh.fused = true;
+                } else {
+                    hh.k = seg.cache->keys(layer, kvh);
+                    hh.v = seg.cache->values(layer, kvh);
+                }
+            }
+        });
+        timer.accumulate(&DecodePhaseTimes::historyUs);
+
+        // Attention stays per request (distinct KV histories), fanned
+        // out per (segment, kv-head): the query heads sharing a kv head
+        // run as one stacked multi-query panel, so each frozen chunk is
+        // read (and its per-chunk fold/scale work paid) once per kv head
+        // instead of once per query head. Tasks write disjoint output
+        // tiles, so the fan-out is bit-reproducible with any worker
+        // count.
+        kc.parallelFor(0, tasks, 1, [&](int64_t t0, int64_t t1) {
+            for (int64_t t = t0; t < t1; ++t) {
+                const DecodeSegment &seg = wave[size_t(t / kv_heads)];
+                const int kvh = int(t % kv_heads);
+                if (seg.cache->failed())
+                    continue;
+                const HeadHistory &hh = hist[size_t(t)];
                 // Head-major query panel: rows [g*rows, (g+1)*rows) hold
                 // query head kvh*group+g's new-token queries.
                 Matrix qp(group * seg.rows, dh);
@@ -440,123 +444,13 @@ decodeBlockForward(const Matrix &x, int layer, const BlockWeights &w,
                 for (int g = 0; g < group; ++g) {
                     const int h = kvh * group + g;
                     for (int r = 0; r < seg.rows; ++r)
-                        for (int c = 0; c < dh; ++c)
-                            attn(seg.row0 + r, h * dh + c) =
-                                out(g * seg.rows + r, c);
+                        std::copy(out.rowPtr(g * seg.rows + r),
+                                  out.rowPtr(g * seg.rows + r) + dh,
+                                  attn.rowPtr(seg.row0 + r) + h * dh);
                 }
             }
         });
-    } else {
-        kc.parallelFor(0,
-                       int64_t(segments.size()) * int64_t(config.nHeads), 1,
-                       [&](int64_t t0, int64_t t1) {
-            for (int64_t t = t0; t < t1; ++t) {
-                const size_t si = size_t(t) / size_t(config.nHeads);
-                const DecodeSegment &seg = segments[si];
-                if (seg.cache->failed() || rowSequential(seg))
-                    continue;
-                const int h = int(t % int64_t(config.nHeads));
-                const int kvh = kvHeadOf(h, config.nHeads, config.kvHeads);
-                const HeadHistory &hh =
-                    hist[si * size_t(kv_heads) + size_t(kvh)];
-                const Matrix qh = headSlice(
-                    xq.rowSlice(seg.row0, seg.row0 + seg.rows), h, dh);
-                const Matrix out = hh.fused
-                    ? attentionHeadFusedQuant(qh, hh.kCodes, hh.vCodes,
-                                              seg.pos0, kc)
-                    : attentionHeadIncremental(qh, hh.k, hh.v, seg.pos0,
-                                               &kc);
-                for (int r = 0; r < out.rows(); ++r)
-                    for (int c = 0; c < dh; ++c)
-                        attn(seg.row0 + r, h * dh + c) = out(r, c);
-            }
-        });
-    }
-    timer.accumulate(&DecodePhaseTimes::attentionUs);
-
-    // Row-sequential handling of speculative quantized segments: append
-    // row r, gather its histories, run its attention — then move to row
-    // r+1. That interleave is exactly the arithmetic of the plain
-    // single-row steps the verification must match bit for bit: the open
-    // chunk row r's attention reads is requantized over rows <= r, never
-    // over later draft rows. Only append/history/attention go row by
-    // row; the projections above already covered these rows (row-local,
-    // so batching them is exact). The inner fan-outs parallelize across
-    // kv heads with disjoint output tiles, preserving worker-count
-    // bit-reproducibility.
-    for (const DecodeSegment &seg : segments) {
-        if (!rowSequential(seg))
-            continue;
-        const int group = config.nHeads / kv_heads;
-        for (int r = 0; r < seg.rows && !seg.cache->failed(); ++r) {
-            timer.mark();
-            seg.cache->appendRows(layer, xk, xv, seg.row0 + r, 1);
-            timer.accumulate(&DecodePhaseTimes::appendUs);
-            if (seg.cache->failed())
-                break; // containment: same skip as the bulk fan-outs
-            const int pos = seg.pos0 + r;
-            std::vector<HeadHistory> rh(static_cast<size_t>(kv_heads));
-            kc.parallelFor(0, int64_t(kv_heads), 1,
-                           [&](int64_t h0, int64_t h1) {
-                for (int64_t kvh = h0; kvh < h1; ++kvh) {
-                    HeadHistory &hh = rh[size_t(kvh)];
-                    if (step.fusedQuantKv) {
-                        hh.kCodes = seg.cache->keyView(layer, int(kvh));
-                        hh.vCodes = seg.cache->valueView(layer, int(kvh));
-                        hh.fused = true;
-                    } else {
-                        hh.k = seg.cache->keys(layer, int(kvh));
-                        hh.v = seg.cache->values(layer, int(kvh));
-                    }
-                }
-            });
-            timer.accumulate(&DecodePhaseTimes::historyUs);
-            if (step.mqAttentionPanels) {
-                kc.parallelFor(0, int64_t(kv_heads), 1,
-                               [&](int64_t h0, int64_t h1) {
-                    for (int64_t t = h0; t < h1; ++t) {
-                        const int kvh = int(t);
-                        const HeadHistory &hh = rh[size_t(kvh)];
-                        Matrix qp(group, dh);
-                        for (int g = 0; g < group; ++g) {
-                            const float *src = xq.rowPtr(seg.row0 + r) +
-                                (kvh * group + g) * dh;
-                            std::copy(src, src + dh, qp.rowPtr(g));
-                        }
-                        const Matrix out = hh.fused
-                            ? attentionFusedQuantPanel(qp, group, hh.kCodes,
-                                                       hh.vCodes, pos, kc)
-                            : attentionPanelIncremental(qp, group, hh.k,
-                                                        hh.v, pos, kc);
-                        for (int g = 0; g < group; ++g)
-                            for (int c = 0; c < dh; ++c)
-                                attn(seg.row0 + r,
-                                     (kvh * group + g) * dh + c) = out(g, c);
-                    }
-                });
-            } else {
-                kc.parallelFor(0, int64_t(config.nHeads), 1,
-                               [&](int64_t h0, int64_t h1) {
-                    for (int64_t t = h0; t < h1; ++t) {
-                        const int h = int(t);
-                        const int kvh =
-                            kvHeadOf(h, config.nHeads, config.kvHeads);
-                        const HeadHistory &hh = rh[size_t(kvh)];
-                        const Matrix qh = headSlice(
-                            xq.rowSlice(seg.row0 + r, seg.row0 + r + 1), h,
-                            dh);
-                        const Matrix out = hh.fused
-                            ? attentionHeadFusedQuant(qh, hh.kCodes,
-                                                      hh.vCodes, pos, kc)
-                            : attentionHeadIncremental(qh, hh.k, hh.v, pos,
-                                                       &kc);
-                        for (int c = 0; c < dh; ++c)
-                            attn(seg.row0 + r, h * dh + c) = out(0, c);
-                    }
-                });
-            }
-            timer.accumulate(&DecodePhaseTimes::attentionUs);
-        }
+        timer.accumulate(&DecodePhaseTimes::attentionUs);
     }
 
     const Matrix xo = kc.axpby(1.f, project(attn, w.wo), 1.f, x);
@@ -617,7 +511,6 @@ DecodeEngine::step(const Matrix &x_new)
     DecodeStepConfig step;
     step.scheme = options_.scheme;
     step.fusedQuantKv = options_.fusedQuantKv;
-    step.mqAttentionPanels = options_.mqAttentionPanels;
     step.phases = options_.phases;
     Matrix h = decodeStep(model_, x_new, segments, step, kc);
     // The single-request engine has no scheduler watching its cache, so

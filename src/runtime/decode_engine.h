@@ -7,19 +7,22 @@
  * belonging to one request's cache. Fp32 QKV/O/FFN projections run as
  * single GEMMs over the stacked rows (they are row-local, so batching
  * changes nothing numerically; a quantizing scheme runs per segment
- * instead, because its chunk scales are not row-local), K/V rows are
- * appended to each segment's cache, and
- * attention runs per (segment, head) with attentionHeadIncremental over
- * the materialized history — each read walks that segment's block table
- * in the shared BlockAllocator pool (runtime/kv_cache.h), gathering pages
- * in logical-row order so paging never perturbs the numerics —
+ * instead, because its chunk scales are not row-local). Then one fan-out
+ * appends each segment's K/V rows to its cache, gathers each (segment,
+ * kv-head) history once — each read walks that segment's block table in
+ * the shared BlockAllocator pool (runtime/kv_cache.h), gathering pages in
+ * logical-row order so paging never perturbs the numerics — and runs
+ * attention as one multi-query panel per (segment, kv-head), the query
+ * heads sharing that kv head stacked together. Every fan-out is
  * parallelized across the KernelContext's thread pool with disjoint
  * output writes, so results are bit-identical for any worker count.
- * With DecodeOptions::fusedQuantKv, quantized-cache segments instead run
- * attentionHeadFusedQuant directly on the KV chunk codes (KVCodeView),
+ * With DecodeOptions::fusedQuantKv, quantized-cache segments run
+ * attentionFusedQuantPanel directly on the KV chunk codes (KVCodeView),
  * skipping the fp32 materialization entirely — the MSA-style dataflow the
  * paper hardware implements for its GEMMs, applied to the decode
- * attention ops.
+ * attention ops. A speculative segment over a quantized cache runs that
+ * same fan-out as a sequence of single-row waves (see
+ * DecodeSegment::speculative).
  *
  * DecodeEngine wraps one cache (one request): prefill() consumes the
  * prompt in a single step, step() extends it. With an Fp32 cache the
@@ -58,10 +61,11 @@ struct DecodeSegment
      *  equal plain single-row decode bit for bit. For a TenderQuantized
      *  cache that means replaying single-row *step grouping* — a row's
      *  attention reads the open chunk requantized over the rows present
-     *  at its own step's end — so decodeBlockForward appends and attends
-     *  such a segment one row at a time (projections stay batched; they
-     *  are row-local). Fp32 caches are grouping-invariant, so the flag
-     *  changes nothing for them. */
+     *  at its own step's end — so decodeBlockForward runs its
+     *  append/history/attention fan-out in waves, row r of such a segment
+     *  in wave r, alongside the other segments' rows (projections stay
+     *  batched; they are row-local). Fp32 caches are grouping-invariant,
+     *  so the flag changes nothing for them. */
     bool speculative = false;
 };
 
@@ -100,22 +104,13 @@ struct DecodeOptions
      *  Must outlive the engine. */
     const KernelContext *kernels = nullptr;
     /** Route TenderQuantized-cache attention through the fused
-     *  integer-domain path (attentionHeadFusedQuant): scores and probs*V
+     *  integer-domain path (attentionFusedQuantPanel): scores and probs*V
      *  consume the KV chunk codes in place, with no fp32 materialization
      *  of the history. Fp32-cache segments are unaffected (they keep the
      *  bit-exact incremental path). The dequantize-on-read path remains
      *  the reference oracle; fused output error vs that oracle is bounded
      *  and recorded in BENCH_decode.json (fused_attention_nmse). */
     bool fusedQuantKv = false;
-    /** Batch the query heads sharing one kv head into a single multi-query
-     *  attention panel per (segment, kv-head) — one stacked score GEMM /
-     *  gemmInt8 panel per frozen chunk instead of one per query head, the
-     *  GQA amortization this runtime exists to measure. Every kernel in
-     *  the panel chain is row-local, so panel results are bit-identical to
-     *  the per-head fan-out on every backend (mq_panel_bitexact in
-     *  BENCH_decode.json); the switch exists for that A/B, not as a
-     *  numerics knob. */
-    bool mqAttentionPanels = true;
     /** Optional phase-timing accumulator (see DecodePhaseTimes). */
     DecodePhaseTimes *phases = nullptr;
 };
@@ -127,7 +122,6 @@ struct DecodeStepConfig
 {
     const GemmScheme *scheme = nullptr;
     bool fusedQuantKv = false;
-    bool mqAttentionPanels = true;
     DecodePhaseTimes *phases = nullptr;
 };
 
@@ -169,23 +163,16 @@ Matrix decodeStep(SyntheticModel &model, const Matrix &x,
  * the per-chunk dequantization folded into the double accumulate.
  *
  * Every step is row-local, so each panel row is bit-identical to a
- * heads=1 call on that head alone — attentionHeadFusedQuant IS this
- * function at heads=1, and the per-element arithmetic replays the
- * dequantize oracle's: when every cached value lands exactly on a
- * power-of-two-scale code grid the fused result is bit-identical to the
- * dequantize path (asserted in tests/test_fused_attention.cc); in general
- * it differs only by the query quantization error.
+ * heads=1 call on that head alone, and the per-element arithmetic
+ * replays the dequantize oracle's: when every cached value lands exactly
+ * on a power-of-two-scale code grid the fused result is bit-identical to
+ * the dequantize path (asserted in tests/test_fused_attention.cc); in
+ * general it differs only by the query quantization error.
  */
 Matrix attentionFusedQuantPanel(const Matrix &q, int heads,
                                 const KVCodeView &keys,
                                 const KVCodeView &values, int pos0,
                                 const KernelContext &kc);
-
-/** Fused quantized-KV attention for one head: attentionFusedQuantPanel at
- *  heads = 1 (see above for the full numerics contract). */
-Matrix attentionHeadFusedQuant(const Matrix &q, const KVCodeView &keys,
-                               const KVCodeView &values, int pos0,
-                               const KernelContext &kc);
 
 /** Single-request decode runtime. */
 class DecodeEngine
@@ -254,9 +241,6 @@ class Vocab
     Matrix embedding_; ///< vocab x dModel input rows
     Matrix readout_;   ///< vocab x dModel untied LM head
 };
-
-/** Historical name from when the readout could only greedy-decode. */
-using GreedyVocab = Vocab;
 
 } // namespace tender
 

@@ -579,8 +579,8 @@ KVCache::appendRowsImpl(int layer, const Matrix &k, const Matrix &v,
     // Either the first layer of a new step (advancing length) or a later
     // layer catching up to it; anything else is a double/missed append.
     // Catch-up may be partial: a speculative verification step appends a
-    // lagging layer's rows one at a time (decode_engine.cc's row-
-    // sequential path), so a layer may trail length_ by more than t —
+    // lagging layer's rows one at a time (decode_engine.cc's single-row
+    // waves), so a layer may trail length_ by more than t —
     // but never overshoot it.
     TENDER_CHECK_MSG(layerLength_[size_t(layer)] == length_ ||
                      layerLength_[size_t(layer)] + t <= length_,

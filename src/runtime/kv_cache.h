@@ -112,9 +112,11 @@ BlockPoolConfig blockPoolConfigFor(const ModelConfig &model,
  * pages, no fp32 materialization — and `openDeq` is a dequantized copy of
  * only the open (still-filling) chunk, whose metadata is requantized on
  * every append. Consumed by the fused integer-domain attention path
- * (attentionHeadFusedQuant in runtime/decode_engine). The view borrows
+ * (attentionFusedQuantPanel in runtime/decode_engine). The view borrows
  * the pool pages: it is invalidated by the next append to the store
- * (which rewrites the open chunk slot in place) and by releaseAll().
+ * (which rewrites the open chunk slot in place) and by releaseAll(), so
+ * decodeBlockForward consumes each wave's views before the next wave
+ * appends.
  */
 struct KVCodeView
 {

@@ -3,10 +3,10 @@
  * Failure-containment tests: the fault-injection plan machinery itself,
  * front-door load shedding (queue depth, deadlines), callback-exception
  * containment, KV page integrity verification, and the chaos soak — a
- * seeded randomized fault schedule over the fp32 / quantized / fused
- * decode arms asserting the containment contract: every request that was
- * not itself hit by a fault generates bit-identical tokens to a
- * fault-free run, and the drained pool leaks nothing.
+ * seeded randomized fault schedule over the fp32 / quantized / fused /
+ * fused+speculate decode arms asserting the containment contract: every
+ * request that was not itself hit by a fault generates bit-identical
+ * tokens to a fault-free run, and the drained pool leaks nothing.
  */
 
 #include <gtest/gtest.h>
@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "model/workload.h"
+#include "runtime/decode_engine.h"
 #include "serve/serve_session.h"
 #include "util/fault_injection.h"
 
@@ -257,6 +258,46 @@ TEST(Containment, InjectedCallbackFaultUsesTheSamePath)
     EXPECT_EQ(1, FaultInjector::instance().fired(FaultSite::CallbackThrow));
 }
 
+TEST(Containment, AllocFaultInVerifyStepIsSkippedByLaterWaves)
+{
+    // A speculative segment over a quantized cache attends in single-row
+    // waves. Its first row opens a new block; when that allocation
+    // faults, the cache latches in wave 0 and every later wave of the
+    // step must skip it, while a co-scheduled segment computes exactly
+    // its fault-free hidden state.
+    InjectorGuard guard;
+    SyntheticModel model(smallDecoder(), 89);
+    const ModelConfig &cfg = model.config();
+    KernelContext kc(Backend::Serial); // wave-0 appends run in order
+    KVCacheConfig qcfg;
+    qcfg.mode = KVCacheMode::TenderQuantized;
+    qcfg.tender.rowChunk = 8;
+    const Matrix x = model.sampleInput(5, 3);
+    const auto run = [&](const char *plan) {
+        KVCache spec(cfg, qcfg), plain(cfg, qcfg);
+        const DecodeStepConfig step;
+        decodeStep(model, model.sampleInput(8, 1), {{&spec, 0, 8, 0}},
+                   step, kc);
+        decodeStep(model, model.sampleInput(4, 2), {{&plain, 0, 4, 0}},
+                   step, kc);
+        FaultInjector::instance().arm(plan);
+        // spec's rows 8..10 open its second block; plain's rows 4..5 fit
+        // its first, so the step's first allocation is spec's.
+        const Matrix h = decodeStep(model, x,
+                                    {{&spec, 0, 3, 8, true},
+                                     {&plain, 3, 2, 4, false}},
+                                    step, kc);
+        FaultInjector::instance().disarm();
+        EXPECT_FALSE(plain.failed());
+        return std::make_pair(spec.failed(), h.rowSlice(3, 5));
+    };
+    const auto clean = run("");
+    const auto faulted = run("alloc@1");
+    EXPECT_FALSE(clean.first);
+    EXPECT_TRUE(faulted.first);
+    EXPECT_TRUE(clean.second == faulted.second);
+}
+
 TEST(Integrity, CorruptPublishedPageFallsBackToColdPrefill)
 {
     InjectorGuard guard;
@@ -313,6 +354,8 @@ struct SoakArm
     KVCacheMode mode;
     bool fused;
     bool prefixCache;
+    int maxDraft; ///< prompt-lookup draft length; 0 = no speculation
+    int maxNth;   ///< fault plan hit range (FaultInjector::randomPlan)
 };
 
 /** Run `n` greedy requests to completion and return tokens by id, plus
@@ -339,6 +382,10 @@ runSoak(SyntheticModel &model, const SoakArm &arm, const KernelContext &kc,
     for (int i = 0; i < n; ++i) {
         ServeRequest r = probeRequest(i, 48, 3 + i % 7, 4 + i % 5);
         r.onEvent = [](const StreamEvent &) {}; // exposes the callback site
+        if (arm.maxDraft > 0) {
+            r.speculation.drafter = DrafterKind::PromptLookup;
+            r.speculation.maxDraft = arm.maxDraft;
+        }
         ids.push_back(session.submit(r));
     }
     session.drain();
@@ -366,9 +413,15 @@ TEST(ChaosSoak, SurvivorsAreBitExactAndNothingLeaksInEveryArm)
     KernelContext kc(Backend::Serial);
     const int kRequests = 10;
     const SoakArm arms[] = {
-        {"fp32", KVCacheMode::Fp32, false, true},
-        {"quantized", KVCacheMode::TenderQuantized, false, false},
-        {"fused", KVCacheMode::TenderQuantized, true, false},
+        // Low hit indices so several triggers land inside the run.
+        {"fp32", KVCacheMode::Fp32, false, true, 0, 30},
+        {"quantized", KVCacheMode::TenderQuantized, false, false, 0, 30},
+        {"fused", KVCacheMode::TenderQuantized, true, false, 0, 30},
+        // Verify steps run a quantized cache's rows as single-row waves.
+        // The wider hit range reaches past the prefills, so allocation
+        // faults also land in steps that verify drafts.
+        {"fused+speculate", KVCacheMode::TenderQuantized, true, false, 4,
+         120},
     };
     const std::vector<FaultSite> sites = {FaultSite::AllocFail,
                                           FaultSite::CallbackThrow,
@@ -378,14 +431,17 @@ TEST(ChaosSoak, SurvivorsAreBitExactAndNothingLeaksInEveryArm)
         FaultInjector::instance().disarm();
         const std::map<int, ServeResult> baseline =
             runSoak(model, arm, kc, kRequests);
-        for (const auto &[id, r] : baseline)
+        int64_t drafted = 0;
+        for (const auto &[id, r] : baseline) {
             ASSERT_EQ(RequestState::Finished, r.state)
                 << arm.name << " baseline request " << id;
+            drafted += r.metrics.draftedTokens;
+        }
+        EXPECT_EQ(arm.maxDraft > 0, drafted > 0) << arm.name;
 
         for (uint64_t seed = 1; seed <= 3; ++seed) {
-            // Low hit indices so several triggers land inside the run.
             FaultInjector::instance().arm(
-                FaultInjector::randomPlan(seed, sites, 6, 30, 100));
+                FaultInjector::randomPlan(seed, sites, 6, arm.maxNth, 100));
             const std::map<int, ServeResult> chaos =
                 runSoak(model, arm, kc, kRequests);
             int failed = 0;

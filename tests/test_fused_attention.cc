@@ -5,7 +5,7 @@
  *  - gemmInt8 panel kernel: serial vs threaded bit-parity and agreement
  *    with a plain int64 reference, narrow (int32-accumulator) and wide
  *    shapes alike.
- *  - attentionHeadFusedQuant vs the dequantize-on-read oracle
+ *  - attentionFusedQuantPanel (one head) vs the dequantize-on-read oracle
  *    (attentionHeadIncremental over materialized history): NMSE bounded
  *    per (segment, head), and *bit-identical* when every cached value
  *    lands exactly on a power-of-two-scale code grid (the integer path
@@ -140,8 +140,8 @@ TEST(FusedAttention, NmseBoundPerSegmentAndHead)
                     const Matrix oracle = attentionHeadIncremental(
                         q, cache.keys(layer, h), cache.values(layer, h),
                         pos0, &kc);
-                    const Matrix fused = attentionHeadFusedQuant(
-                        q, cache.keyView(layer, h),
+                    const Matrix fused = attentionFusedQuantPanel(
+                        q, 1, cache.keyView(layer, h),
                         cache.valueView(layer, h), pos0, kc);
                     const double e = nmse(oracle, fused);
                     EXPECT_LE(e, 2e-3)
@@ -202,9 +202,9 @@ TEST(FusedAttention, ExactOnPowerOfTwoScaleChunks)
                 const Matrix oracle = attentionHeadIncremental(
                     q, cache.keys(layer, h), cache.values(layer, h), pos0,
                     &kc);
-                const Matrix fused = attentionHeadFusedQuant(
-                    q, cache.keyView(layer, h), cache.valueView(layer, h),
-                    pos0, kc);
+                const Matrix fused = attentionFusedQuantPanel(
+                    q, 1, cache.keyView(layer, h),
+                    cache.valueView(layer, h), pos0, kc);
                 EXPECT_EQ(maxAbsDiff(oracle, fused), 0.f)
                     << "len " << len << " layer " << layer << " head " << h;
             }
@@ -242,9 +242,9 @@ TEST(FusedAttention, PagedBlockChurnBitStable)
         Matrix out(cfg.nLayers * cfg.kvHeads, cfg.headDim());
         for (int l = 0; l < cfg.nLayers; ++l)
             for (int h = 0; h < cfg.kvHeads; ++h) {
-                const Matrix a = attentionHeadFusedQuant(
-                    q, cache.keyView(l, h), cache.valueView(l, h), len - 1,
-                    kc);
+                const Matrix a = attentionFusedQuantPanel(
+                    q, 1, cache.keyView(l, h), cache.valueView(l, h),
+                    len - 1, kc);
                 for (int c = 0; c < cfg.headDim(); ++c)
                     out(l * cfg.kvHeads + h, c) = a(0, c);
             }

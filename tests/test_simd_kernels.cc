@@ -11,8 +11,10 @@
  *  - gemmInt8 stays BIT-IDENTICAL to the golden kernel on every eligible
  *    path (int16-panel pack, narrow direct, checked-int64 wide), because
  *    integer arithmetic is exact under reassociation;
- *  - the multi-query fused attention panel equals the per-head fan-out
- *    bit for bit on a GQA model under the packed arm;
+ *  - every row of a multi-query fused attention panel over a GQA history
+ *    equals a one-head panel call for that head, on every arm, and
+ *    teacher-forced fp32 GQA decode (one panel per kv head) equals the
+ *    full forward bit for bit under the packed arm;
  *  - the continuous-batching scheduler stays independent of admission
  *    order, batch size, and worker count under the packed arm.
  *
@@ -212,27 +214,61 @@ decodeAll(SyntheticModel &model, const Matrix &input,
     return out;
 }
 
-TEST(PackedKernels, MultiQueryPanelsBitExactVsPerHeadOnGqaModel)
+TEST(PackedKernels, MultiQueryPanelRowsEqualSingleHeadPanelsOnEveryArm)
 {
-    // One panel per (segment, kv head) vs one call per (segment, q head):
-    // every kernel in the panel chain is row-local, so the A/B must be
-    // bit-exact on every KV mode — including the fused integer path,
-    // where the panel batches 4 query heads into one gemmInt8 per chunk.
+    // The decode engine attends one panel per (segment, kv head): all
+    // query heads of a GQA group stacked head-major. Every kernel in the
+    // fused chain is row-local, so each panel row must equal a heads=1
+    // call on that head alone — on frozen chunks (one gemmInt8 per chunk
+    // for the whole group) and on the open chunk alike.
+    const ModelConfig cfg = gqaDecoder();
+    const int group = cfg.nHeads / cfg.kvHeads;
+    const int dh = cfg.headDim();
+    KVCacheConfig qcfg;
+    qcfg.mode = KVCacheMode::TenderQuantized;
+    qcfg.tender.rowChunk = 8;
+    Rng rng(31);
+    for (int len : {16, 21}) { // chunk-aligned and open-chunk histories
+        KVCache cache(cfg, qcfg);
+        for (int l = 0; l < cfg.nLayers; ++l)
+            cache.append(l, randomGaussian(len, cfg.kvHeads * dh, rng),
+                         randomGaussian(len, cfg.kvHeads * dh, rng));
+        for (Backend backend :
+             {Backend::Serial, Backend::Threaded, Backend::Packed}) {
+            KernelContext kc(backend, 2);
+            for (int t : {1, 3}) {
+                const Matrix q = randomGaussian(group * t, dh, rng);
+                const int pos0 = len - t;
+                const KVCodeView keys = cache.keyView(1, 0);
+                const KVCodeView values = cache.valueView(1, 0);
+                const Matrix panel = attentionFusedQuantPanel(
+                    q, group, keys, values, pos0, kc);
+                for (int g = 0; g < group; ++g) {
+                    const Matrix one = attentionFusedQuantPanel(
+                        q.rowSlice(g * t, (g + 1) * t), 1, keys, values,
+                        pos0, kc);
+                    EXPECT_TRUE(one == panel.rowSlice(g * t, (g + 1) * t))
+                        << backendName(backend) << " len " << len << " t "
+                        << t << " head " << g;
+                }
+            }
+        }
+    }
+}
+
+TEST(PackedKernels, Fp32GqaDecodeEqualsModelForwardUnderPackedArm)
+{
+    // Teacher-forced decode through the engine's multi-query panels must
+    // reproduce the full forward over the same rows bit for bit: the
+    // packed kernels are row-local, and a fp32 cache is pure reuse.
     SyntheticModel model(gqaDecoder(), 23);
     const Matrix input = model.sampleInput(20, 5);
-    DecodeOptions fp32;
-    DecodeOptions quant;
-    quant.cache.mode = KVCacheMode::TenderQuantized;
-    quant.cache.tender.rowChunk = 8;
-    DecodeOptions fused = quant;
-    fused.fusedQuantKv = true;
-    KernelContext kc(Backend::Packed, 2);
-    for (const DecodeOptions &base : {fp32, quant, fused}) {
-        DecodeOptions on = base, off = base;
-        on.mqAttentionPanels = true;
-        off.mqAttentionPanels = false;
-        EXPECT_EQ(0.f, maxAbsDiff(decodeAll(model, input, on, kc),
-                                  decodeAll(model, input, off, kc)));
+    for (int workers : {1, 2}) {
+        KernelContext kc(Backend::Packed, workers);
+        EXPECT_EQ(0.f, maxAbsDiff(modelForward(model, input, &kc),
+                                  decodeAll(model, input, DecodeOptions{},
+                                            kc)))
+            << "workers=" << workers;
     }
 }
 
@@ -245,14 +281,12 @@ TEST(PackedKernels, SchedulerIndependentOfBatchAndWorkersUnderPackedArm)
         {2, {4}, 6},
         {3, {8, 8, 8, 1}, 2},
     };
-    auto run = [&](bool reversed, int max_batch, int workers, bool fused,
-                   bool mq) {
+    auto run = [&](bool reversed, int max_batch, int workers, bool fused) {
         KernelContext kc(Backend::Packed, workers);
         SchedulerOptions options;
         options.maxBatch = max_batch;
         options.vocabSize = 64;
         options.decode.kernels = &kc;
-        options.decode.mqAttentionPanels = mq;
         if (fused) {
             options.decode.cache.mode = KVCacheMode::TenderQuantized;
             options.decode.fusedQuantKv = true;
@@ -267,14 +301,11 @@ TEST(PackedKernels, SchedulerIndependentOfBatchAndWorkersUnderPackedArm)
         return scheduler.drain();
     };
     for (bool fused : {false, true}) {
-        const auto baseline = run(false, 1, 1, fused, true);
+        const auto baseline = run(false, 1, 1, fused);
         ASSERT_EQ(requests.size(), baseline.size());
-        for (const auto &result :
-             {run(true, 2, 1, fused, true), run(false, 4, 2, fused, true),
-              run(true, 3, 8, fused, true),
-              // MQ panels off must generate the same tokens too: the
-              // panel restructure is perf-only on every backend.
-              run(false, 4, 2, fused, false)}) {
+        for (const auto &result : {run(true, 2, 1, fused),
+                                   run(false, 4, 2, fused),
+                                   run(true, 3, 8, fused)}) {
             ASSERT_EQ(baseline.size(), result.size());
             for (size_t i = 0; i < baseline.size(); ++i) {
                 EXPECT_EQ(baseline[i].id, result[i].id);

@@ -394,6 +394,85 @@ TEST(Speculation, MixedBatchIsOrderAndBackendIndependent)
     }
 }
 
+TEST(Speculation, VerifyWavesMatchSingleRowStepsBitExact)
+{
+    // Engine-level form of the verify contract, on hidden states rather
+    // than tokens: every row of a speculative segment over a quantized
+    // cache equals a plain one-row step bit for bit, while it shares the
+    // step with a longer speculative segment (waves of unequal width) and
+    // a bulk multi-row segment.
+    SyntheticModel model(smallDecoder(), 43);
+    const ModelConfig &cfg = model.config();
+    KVCacheConfig qcfg;
+    qcfg.mode = KVCacheMode::TenderQuantized;
+    qcfg.tender.rowChunk = 8;
+    struct Req
+    {
+        int prompt, rows;
+        bool speculative;
+    };
+    const std::vector<Req> reqs = {{5, 3, true}, {9, 2, false},
+                                   {3, 4, true}};
+    const auto copyRows = [](const Matrix &src, int src0, Matrix &dst,
+                             int dst0, int n) {
+        for (int r = 0; r < n; ++r)
+            std::copy(src.rowPtr(src0 + r), src.rowPtr(src0 + r) + src.cols(),
+                      dst.rowPtr(dst0 + r));
+    };
+    for (bool fused : {false, true}) {
+        for (Backend backend : {Backend::Serial, Backend::Threaded}) {
+            KernelContext kc(backend, 3);
+            DecodeStepConfig step;
+            step.fusedQuantKv = fused;
+            std::vector<KVCache> caches;
+            std::vector<Matrix> inputs, want;
+            for (size_t i = 0; i < reqs.size(); ++i) {
+                const Matrix prompt =
+                    model.sampleInput(reqs[i].prompt, int(100 + i));
+                inputs.push_back(model.sampleInput(reqs[i].rows,
+                                                   int(200 + i)));
+                // Reference: the request alone, speculative rows as
+                // one-row steps.
+                KVCache ref(cfg, qcfg);
+                decodeStep(model, prompt, {{&ref, 0, prompt.rows(), 0}},
+                           step, kc);
+                Matrix out(reqs[i].rows, cfg.dModel);
+                const int n = reqs[i].speculative ? 1 : reqs[i].rows;
+                for (int r = 0; r < reqs[i].rows; r += n) {
+                    const Matrix h = decodeStep(
+                        model, inputs[i].rowSlice(r, r + n),
+                        {{&ref, 0, n, ref.length()}}, step, kc);
+                    copyRows(h, 0, out, r, n);
+                }
+                want.push_back(out);
+                caches.emplace_back(cfg, qcfg);
+                decodeStep(model, prompt,
+                           {{&caches.back(), 0, prompt.rows(), 0}}, step,
+                           kc);
+            }
+            // One verify step over every request's rows.
+            int total = 0;
+            std::vector<DecodeSegment> segments;
+            for (size_t i = 0; i < reqs.size(); ++i) {
+                segments.push_back({&caches[i], total, reqs[i].rows,
+                                    caches[i].length(),
+                                    reqs[i].speculative});
+                total += reqs[i].rows;
+            }
+            Matrix x(total, cfg.dModel);
+            for (size_t i = 0; i < reqs.size(); ++i)
+                copyRows(inputs[i], 0, x, segments[i].row0, reqs[i].rows);
+            const Matrix h = decodeStep(model, x, segments, step, kc);
+            for (size_t i = 0; i < reqs.size(); ++i)
+                EXPECT_TRUE(h.rowSlice(segments[i].row0,
+                                       segments[i].row0 + reqs[i].rows) ==
+                            want[i])
+                    << "request " << i << " fused " << fused << " "
+                    << backendName(backend);
+        }
+    }
+}
+
 // ---------------------------------------------------------------------
 // Serving layer: sampled verification, metrics, preemption interaction
 // ---------------------------------------------------------------------
