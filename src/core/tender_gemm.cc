@@ -96,62 +96,75 @@ chunkAccumulateImplicit(const QuantizedChunk &qc, const QuantizedWeight &qw,
     return acc;
 }
 
-Matrix
-biasCorrectionRow(const ChunkMeta &meta, const Matrix &w)
+namespace {
+
+/** Entries [j0, j1) of the bias-correction row into out[j0, j1): channels
+ *  ascending, so a column slice adds in the same order as the whole row. */
+void
+biasCorrectionCols(const ChunkMeta &meta, const Matrix &w, int j0, int j1,
+                   float *out)
 {
-    TENDER_CHECK(meta.channels() == w.rows());
-    Matrix row(1, w.cols(), 0.f);
-    float *out = row.rowPtr(0);
+    std::fill(out + j0, out + j1, 0.f);
     for (int c = 0; c < w.rows(); ++c) {
         const double b = meta.bias[size_t(c)];
         if (b == 0.0)
             continue;
         const float *wrow = w.rowPtr(c);
-        for (int j = 0; j < w.cols(); ++j)
+        for (int j = j0; j < j1; ++j)
             out[j] += float(b * double(wrow[j]));
     }
+}
+
+/** finishChunkInto restricted to output columns [j0, j1). */
+void
+finishColsInto(const MatrixT<int64_t> &acc, const ChunkMeta &meta,
+               const std::vector<float> &col_scale, const float *corr,
+               int j0, int j1, Matrix &y, int r0)
+{
+    const float s_last = meta.scale[size_t(meta.groups() - 1)];
+    for (int r = 0; r < acc.rows(); ++r) {
+        const int64_t *arow = acc.rowPtr(r);
+        float *yrow = y.rowPtr(r0 + r);
+        for (int j = j0; j < j1; ++j)
+            yrow[j] = float(double(arow[j]) * double(s_last) *
+                            double(col_scale[size_t(j)])) + corr[j];
+    }
+}
+
+} // namespace
+
+Matrix
+biasCorrectionRow(const ChunkMeta &meta, const Matrix &w)
+{
+    TENDER_CHECK(meta.channels() == w.rows());
+    Matrix row(1, w.cols());
+    biasCorrectionCols(meta, w, 0, w.cols(), row.rowPtr(0));
     return row;
 }
 
 void
 finishChunkInto(const MatrixT<int64_t> &acc, const QuantizedChunk &qc,
-                const QuantizedWeight &qw, const Matrix &bias_correction,
-                Matrix &y, int r0)
+                const std::vector<float> &col_scale,
+                const Matrix &bias_correction, Matrix &y, int r0)
 {
-    const ChunkMeta &meta = qc.meta;
-    const float s_last = meta.scale[size_t(meta.groups() - 1)];
-    const float *corr = bias_correction.rowPtr(0);
-    for (int r = 0; r < acc.rows(); ++r) {
-        const int64_t *arow = acc.rowPtr(r);
-        float *yrow = y.rowPtr(r0 + r);
-        for (int j = 0; j < acc.cols(); ++j)
-            yrow[j] = float(double(arow[j]) * double(s_last) *
-                            double(qw.colScale[size_t(j)])) + corr[j];
-    }
-}
-
-Matrix
-finishChunk(const MatrixT<int64_t> &acc, const QuantizedChunk &qc,
-            const QuantizedWeight &qw, const Matrix &bias_correction)
-{
-    Matrix out(acc.rows(), acc.cols());
-    finishChunkInto(acc, qc, qw, bias_correction, out, 0);
-    return out;
+    finishColsInto(acc, qc.meta, col_scale, bias_correction.rowPtr(0), 0,
+                   acc.cols(), y, r0);
 }
 
 namespace {
 
 // ---------------------------------------------------------------------------
-// Fast blocked accumulate (threaded backend).
+// Fast blocked accumulate (pooled backends).
 //
 // The golden kernel above walks channel-by-channel across the full
 // accumulator, so for transformer-scale N the accumulator row working set
 // lives in L3. The blocked variant processes an output-column slice at a
-// time with group partial sums in int32 (codes are at most 8 bits wide, so
-// a whole group's partial sum is bounded well inside int32 — checked per
-// chunk before selecting this path). Integer arithmetic is exact, so the
-// result is bit-identical to the golden kernel; peak/overflow tracking
-// scans the same accumulator values at the same group boundaries.
+// time with group partial sums in int32 (codes are at most 8 bits wide and
+// a group holds at most K channels, so a whole group's partial sum is
+// bounded inside int32 — checked once per call from bits and K). Integer
+// arithmetic is exact, so the result is bit-identical to the golden
+// kernel; peak/overflow tracking scans the same accumulator values at the
+// same group boundaries.
 // ---------------------------------------------------------------------------
 
 /** Output-column slice width: int32 partial row of 512 B. */
@@ -160,60 +173,33 @@ constexpr int kFastColBlock = 128;
  *  stays L1-resident while a group's channels stream through it. */
 constexpr int kFastRowBand = 32;
 
-/** Narrowed (int16) copy of widened codes; bits <= 8 guarantees the fit. */
-struct Packed16
-{
-    std::vector<int16_t> v;
-    int rows = 0;
-    int cols = 0;
-
-    const int16_t *rowPtr(int r) const
-    {
-        return v.data() + size_t(r) * size_t(cols);
-    }
-};
-
-Packed16
-packCodes(const IntMatrix &m)
-{
-    Packed16 p;
-    p.rows = m.rows();
-    p.cols = m.cols();
-    p.v.resize(size_t(m.rows()) * size_t(m.cols()));
-    for (size_t i = 0; i < m.data().size(); ++i)
-        p.v[i] = int16_t(m.data()[i]);
-    return p;
-}
-
-Packed16
+/** Transposed int16 copy of a chunk's activation codes (channel-major, so
+ *  a group's channel walk reads one contiguous row per channel);
+ *  bits <= 8 guarantees the fit. */
+CodePanel16
 packCodesTransposed(const IntMatrix &m)
 {
-    Packed16 p;
-    p.rows = m.cols();
-    p.cols = m.rows();
-    p.v.resize(size_t(m.rows()) * size_t(m.cols()));
+    CodePanel16 p(m.cols(), m.rows());
     for (int r = 0; r < m.rows(); ++r) {
         const int32_t *row = m.rowPtr(r);
         for (int c = 0; c < m.cols(); ++c)
-            p.v[size_t(c) * size_t(m.rows()) + size_t(r)] = int16_t(row[c]);
+            p.rowPtr(c)[r] = int16_t(row[c]);
     }
     return p;
 }
 
 /** True when ONE group's int32 partial sum provably cannot overflow at
- *  worst-case codes (the partial is folded into the int64 running
- *  accumulator at each group boundary, so only the per-group bound is
- *  needed — it holds for any transformer-scale reduction at b <= 8). */
+ *  worst-case codes for any decomposition of a K-channel reduction (a
+ *  group holds at most K channels; the partial is folded into the int64
+ *  running accumulator at each group boundary, so only the per-group bound
+ *  is needed — it holds for any transformer-scale K at b <= 8). */
 bool
-fastEligible(const ChunkMeta &meta, int bits)
+fastEligible(int bits, int k)
 {
     if (bits > 8)
         return false;
-    int max_group = 0;
-    for (int g = 0; g < meta.groups(); ++g)
-        max_group = std::max(max_group, meta.groupSize(g));
     const int64_t mc = maxCode(bits);
-    return mc * mc * int64_t(max_group) <=
+    return mc * mc * int64_t(k) <=
         int64_t(std::numeric_limits<int32_t>::max());
 }
 
@@ -224,7 +210,7 @@ fastEligible(const ChunkMeta &meta, int bits)
  *  kernel's, is int64 so saturating workloads overflow-account rather
  *  than wrap. */
 void
-fastAccumulateCols(const Packed16 &xt, const Packed16 &w16,
+fastAccumulateCols(const CodePanel16 &xt, const CodePanel16 &w16,
                    const ChunkMeta &meta, const TenderConfig &config,
                    int j0, int j1, MatrixT<int64_t> &acc, bool track,
                    int64_t *peak_abs, bool *overflow)
@@ -324,15 +310,22 @@ fastAccumulateCols(const Packed16 &xt, const Packed16 &w16,
     }
 }
 
-MatrixT<int64_t>
-chunkAccumulateFast(const IntMatrix &codes, const Packed16 &w16,
-                    const ChunkMeta &meta, const TenderConfig &config,
-                    TenderGemmStats *stats, const KernelContext &kc)
+/** Fast implicit body for one chunk, written into rows [r0, r0 + rows)
+ *  of y. Each output-column slice runs the blocked accumulate, its entries
+ *  of the bias-correction row and the finish — the per-element arithmetic
+ *  of chunkAccumulateImplicit, biasCorrectionRow and finishChunkInto. */
+void
+chunkImplicitFast(const QuantizedChunk &qc, const WeightPanel16 &panel,
+                  const Matrix &w, const TenderConfig &config,
+                  TenderGemmStats *stats, const KernelContext &kc,
+                  Matrix &y, int r0)
 {
-    const int rows = codes.rows();
-    const int n = w16.cols;
-    const Packed16 xt = packCodesTransposed(codes);
-    MatrixT<int64_t> acc(rows, n, 0);
+    const ChunkMeta &meta = qc.meta;
+    const int rows = qc.codes.rows();
+    const int n = panel.codes.cols;
+    const CodePanel16 xt = packCodesTransposed(qc.codes);
+    MatrixT<int64_t> acc(rows, n);
+    std::vector<float> corr(size_t(n), 0.f);
     const int64_t blocks = (n + kFastColBlock - 1) / kFastColBlock;
     const bool track = stats != nullptr;
     std::vector<int64_t> peaks(size_t(blocks), 0);
@@ -342,12 +335,15 @@ chunkAccumulateFast(const IntMatrix &codes, const Packed16 &w16,
     // pool; nested calls from chunk tasks run inline).
     kc.parallelFor(0, blocks, 1, [&](int64_t b0, int64_t b1) {
         for (int64_t b = b0; b < b1; ++b) {
+            const int j0 = int(b) * kFastColBlock;
+            const int j1 = std::min(j0 + kFastColBlock, n);
             bool o = false;
-            fastAccumulateCols(xt, w16, meta, config, int(b) * kFastColBlock,
-                               std::min(int(b) * kFastColBlock +
-                                        kFastColBlock, n),
-                               acc, track, &peaks[size_t(b)], &o);
+            fastAccumulateCols(xt, panel.codes, meta, config, j0, j1, acc,
+                               track, &peaks[size_t(b)], &o);
             ovf[size_t(b)] = o ? 1 : 0;
+            biasCorrectionCols(meta, w, j0, j1, corr.data());
+            finishColsInto(acc, meta, panel.colScale, corr.data(), j0, j1,
+                           y, r0);
         }
     });
     if (stats) {
@@ -363,7 +359,6 @@ chunkAccumulateFast(const IntMatrix &codes, const Packed16 &w16,
                 stats->overflow32 = true;
         }
     }
-    return acc;
 }
 
 // ---------------------------------------------------------------------------
@@ -425,9 +420,10 @@ processChunkExplicit(const ChunkMeta &meta, const QuantizedChunk &qc,
  *  path (exact under the fastEligible bound), and each group's partial is
  *  dequantized into y with one FP add per element — the identical FP
  *  sequence as processChunkExplicit, hence bit parity (asserted in
- *  tests/test_tender_gemm.cc). The caller adds the bias-correction row. */
+ *  tests/test_tender_gemm.cc). chunkExplicitFast adds the bias-correction
+ *  row. */
 void
-fastExplicitCols(const Packed16 &xt, const Packed16 &w16,
+fastExplicitCols(const CodePanel16 &xt, const CodePanel16 &w16,
                  const ChunkMeta &meta, const std::vector<float> &col_scale,
                  int j0, int j1, Matrix &y, int r0)
 {
@@ -467,6 +463,34 @@ fastExplicitCols(const Packed16 &xt, const Packed16 &w16,
     }
 }
 
+/** Fast explicit body for one chunk: per output-column slice, the blocked
+ *  Eq. 1 accumulate, then the slice's bias-correction entries added last,
+ *  as processChunkExplicit adds the whole row. */
+void
+chunkExplicitFast(const QuantizedChunk &qc, const WeightPanel16 &panel,
+                  const Matrix &w, const KernelContext &kc, Matrix &y,
+                  int r0)
+{
+    const CodePanel16 xt = packCodesTransposed(qc.codes);
+    const int n = panel.codes.cols;
+    std::vector<float> corr(size_t(n), 0.f);
+    const int64_t blocks = (n + kFastColBlock - 1) / kFastColBlock;
+    kc.parallelFor(0, blocks, 1, [&](int64_t b0, int64_t b1) {
+        for (int64_t b = b0; b < b1; ++b) {
+            const int j0 = int(b) * kFastColBlock;
+            const int j1 = std::min(j0 + kFastColBlock, n);
+            fastExplicitCols(xt, panel.codes, qc.meta, panel.colScale, j0,
+                             j1, y, r0);
+            biasCorrectionCols(qc.meta, w, j0, j1, corr.data());
+            for (int r = 0; r < qc.codes.rows(); ++r) {
+                float *yrow = y.rowPtr(r0 + r);
+                for (int j = j0; j < j1; ++j)
+                    yrow[j] += corr[size_t(j)];
+            }
+        }
+    });
+}
+
 Matrix
 runChunkPipeline(const Matrix &x, const Matrix &w,
                  const std::vector<ChunkMeta> *metas,
@@ -474,16 +498,20 @@ runChunkPipeline(const Matrix &x, const Matrix &w,
                  TenderGemmStats *stats, const KernelContext &kc)
 {
     TENDER_CHECK(x.cols() == w.rows());
-    const QuantizedWeight qw = quantizeWeight(w, config.bits);
     // Both requant modes share the blocked int16/int32 group accumulate
     // under the pooled backends (bit-identical to their golden kernels —
     // the accumulate is pure integer arithmetic, so the packed arm's SIMD
-    // lanes reorder an exact sum and change nothing).
-    const bool fast_backend = kc.backend() != Backend::Serial &&
-        config.bits <= 8;
-    Packed16 w16;
-    if (fast_backend)
-        w16 = packCodes(qw.codes);
+    // lanes reorder an exact sum and change nothing). The path is chosen
+    // once per call, and only its weight layout is built: the int16 panel
+    // the blocked accumulate reads, or the int32 codes of the golden one.
+    const bool fast = kc.backend() != Backend::Serial &&
+        fastEligible(config.bits, w.rows());
+    QuantizedWeight qw;
+    WeightPanel16 panel;
+    if (fast)
+        panel = quantizeWeightPanel(w, config.bits, kc);
+    else
+        qw = quantizeWeight(w, config.bits);
 
     Matrix y(x.rows(), w.cols(), 0.f);
     const auto ranges = chunkRanges(x.rows(), config.rowChunk);
@@ -508,27 +536,15 @@ runChunkPipeline(const Matrix &x, const Matrix &w,
             meta = decomposeChunk(chunk, config);
         }
         const QuantizedChunk qc = quantizeChunk(chunk, meta, config.bits);
-        const bool fast = fast_backend && fastEligible(meta, config.bits);
-        if (mode == RequantMode::Implicit) {
-            const MatrixT<int64_t> acc = fast
-                ? chunkAccumulateFast(qc.codes, w16, meta, config, ls, kc)
-                : chunkAccumulateImplicit(qc, qw, config, ls);
-            const Matrix correction = biasCorrectionRow(meta, w);
-            finishChunkInto(acc, qc, qw, correction, y, r0);
+        if (fast && mode == RequantMode::Implicit) {
+            chunkImplicitFast(qc, panel, w, config, ls, kc, y, r0);
         } else if (fast) {
-            const Packed16 xt = packCodesTransposed(qc.codes);
-            const int n = w.cols();
-            const int64_t blocks = (n + kFastColBlock - 1) / kFastColBlock;
-            kc.parallelFor(0, blocks, 1, [&](int64_t b0, int64_t b1) {
-                for (int64_t b = b0; b < b1; ++b)
-                    fastExplicitCols(xt, w16, meta, qw.colScale,
-                                     int(b) * kFastColBlock,
-                                     std::min(int(b) * kFastColBlock +
-                                              kFastColBlock, n),
-                                     y, r0);
-            });
-            addRowsInto(biasCorrectionRow(meta, w), y, r0,
-                        qc.codes.rows());
+            chunkExplicitFast(qc, panel, w, kc, y, r0);
+        } else if (mode == RequantMode::Implicit) {
+            const MatrixT<int64_t> acc =
+                chunkAccumulateImplicit(qc, qw, config, ls);
+            finishChunkInto(acc, qc, qw.colScale, biasCorrectionRow(meta, w),
+                            y, r0);
         } else {
             processChunkExplicit(meta, qc, qw, w, y, r0);
         }
@@ -540,7 +556,7 @@ runChunkPipeline(const Matrix &x, const Matrix &w,
     // back to serial-over-chunks only when that inner axis exists AND
     // chunks alone cannot fill the pool; the golden bodies always
     // parallelize over chunks, however few.
-    if (!fast_backend || int64_t(ranges.size()) >= int64_t(kc.workers())) {
+    if (!fast || int64_t(ranges.size()) >= int64_t(kc.workers())) {
         kc.parallelFor(0, int64_t(ranges.size()), 1,
                        [&](int64_t c0, int64_t c1) {
             for (int64_t ci = c0; ci < c1; ++ci)

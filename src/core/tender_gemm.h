@@ -13,14 +13,19 @@
  * All three entry points share one chunk pipeline (decompose -> quantize ->
  * accumulate-with-requant -> finish-into-output-view) whose per-chunk tasks
  * are dispatched over the KernelContext's thread pool: Tender's row-chunk
- * decomposition makes chunks embarrassingly parallel by construction. The
- * threaded backend additionally runs a cache-blocked int16/int32 variant of
- * the group accumulate — shared by the implicit AND explicit modes (the
- * explicit golden kernel computes one integer partial per group, so the
- * blocked integer partials slot into the identical per-element FP
- * sequence); integer arithmetic is exact, so results are bit-identical to
- * the golden serial kernels and the determinism tests assert exact
- * equality.
+ * decomposition makes chunks embarrassingly parallel by construction.
+ *
+ * The weight is quantized per column with static scales on every call,
+ * and the path is chosen once per call from (backend, bits, K). The pooled
+ * backends (Threaded, Packed) quantize it straight into the int16 panel
+ * that their cache-blocked int16/int32 group accumulate reads — shared by
+ * the implicit AND explicit modes (the explicit golden kernel computes one
+ * integer partial per group, so the blocked integer partials slot into the
+ * identical per-element FP sequence). The Serial backend, and any call
+ * whose K could overflow a group's int32 partial, build the int32 codes of
+ * the golden kernels instead. Codes and scales are the same on both paths
+ * and integer arithmetic is exact, so results are bit-identical across
+ * backends and the determinism tests assert exact equality.
  */
 
 #ifndef TENDER_CORE_TENDER_GEMM_H
@@ -51,21 +56,19 @@ struct TenderGemmStats
  * the final integer accumulator A_{G-1} (Eq. 2) for each output element.
  * This is the value the MSA produces before the VPU's final dequantization.
  * Single-threaded golden kernel; the pipeline substitutes a blocked
- * bit-identical variant under the threaded backend.
+ * bit-identical variant under the pooled backends.
  */
 MatrixT<int64_t> chunkAccumulateImplicit(const QuantizedChunk &qc,
                                          const QuantizedWeight &qw,
                                          const TenderConfig &config,
                                          TenderGemmStats *stats = nullptr);
 
-/** Dequantize the accumulator and add the bias correction row. */
-Matrix finishChunk(const MatrixT<int64_t> &acc, const QuantizedChunk &qc,
-                   const QuantizedWeight &qw, const Matrix &bias_correction);
-
-/** As finishChunk, but writes into rows [r0, r0 + acc.rows()) of y — the
- *  pre-sliced output view the chunk pipeline hands each chunk task. */
+/** Dequantize the accumulator with the chunk's last group scale and the
+ *  weight's column scales, add the bias correction row, and write into
+ *  rows [r0, r0 + acc.rows()) of y — the pre-sliced output view the chunk
+ *  pipeline hands each chunk task. */
 void finishChunkInto(const MatrixT<int64_t> &acc, const QuantizedChunk &qc,
-                     const QuantizedWeight &qw,
+                     const std::vector<float> &col_scale,
                      const Matrix &bias_correction, Matrix &y, int r0);
 
 /** Bias-times-weight correction row (1 x N) for a chunk's metadata. */
@@ -92,7 +95,7 @@ Matrix tenderMatmulCalibrated(const Matrix &x, const Matrix &w,
 
 /** Explicit-requantization reference (Eq. 1): one integer GEMM per group,
  *  each dequantized with its own scale and accumulated in FP. Under the
- *  threaded backend the group partials run through the same blocked
+ *  pooled backends the group partials run through the same blocked
  *  int16/int32 accumulate as the implicit path, bit-identical to the
  *  serial kernel. */
 Matrix tenderMatmulExplicit(const Matrix &x, const Matrix &w,

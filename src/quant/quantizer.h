@@ -12,6 +12,8 @@
 #ifndef TENDER_QUANT_QUANTIZER_H
 #define TENDER_QUANT_QUANTIZER_H
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 
 #include "tensor/matrix.h"
@@ -28,8 +30,20 @@ maxCode(int bits)
 /** Scale factor mapping absmax onto the largest code. */
 float scaleFor(float abs_max, int bits);
 
-/** Quantize one value: round-to-nearest-even then clamp to [-k, k]. */
-int32_t quantizeValue(float x, float scale, int bits);
+/**
+ * Quantize one value: round-to-nearest-even then clamp to [-k, k]. The
+ * clamp runs in float, before the integer conversion, so a quotient beyond
+ * the int32 range saturates to the code of its own sign (a NaN maps to -k).
+ * Inline so the per-element loops of the weight, KV-cache and query
+ * quantizers vectorize around it.
+ */
+inline int32_t
+quantizeValue(float x, float scale, int bits)
+{
+    const float k = float(maxCode(bits));
+    const float q = std::nearbyintf(x / scale);
+    return int32_t(std::min(k, std::max(-k, q)));
+}
 
 /** Dequantize one code. */
 inline float

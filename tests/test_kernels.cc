@@ -244,6 +244,98 @@ TEST(Kernels, CalibratedPipelineBitIdentical)
                 tenderMatmulCalibrated(x, w, metas, cfg, nullptr, &serial));
 }
 
+/** Decode-shaped weight: column 0 all zero (scaleFor's 1.0 branch) and
+ *  column 1 with absmax 127, so its scale is exactly 1 and its
+ *  half-integer entries are exact .5 ties (round-half-even). */
+Matrix
+decodeWeight(int k, int n, Rng &rng)
+{
+    Matrix w = randomGaussian(k, n, rng, 0.f, 0.05f);
+    for (int r = 0; r < k; ++r) {
+        w(r, 0) = 0.f;
+        w(r, 1) = float(r % 16) - 7.5f;
+    }
+    w(0, 1) = 127.f;
+    return w;
+}
+
+void
+expectStatsEqual(const TenderGemmStats &got, const TenderGemmStats &want)
+{
+    EXPECT_EQ(got.macs, want.macs);
+    EXPECT_EQ(got.rescales, want.rescales);
+    EXPECT_EQ(got.chunks, want.chunks);
+    EXPECT_EQ(got.metaReuses, want.metaReuses);
+    EXPECT_EQ(got.peakAbsAcc, want.peakAbsAcc);
+    EXPECT_EQ(got.overflow32, want.overflow32);
+}
+
+TEST(Kernels, WeightPanelEqualsQuantizeWeight)
+{
+    Rng rng(21);
+    KernelContext threaded(Backend::Threaded, 2);
+    for (int k : {512, 1792}) {
+        const Matrix w = decodeWeight(k, 64, rng);
+        const QuantizedWeight qw = quantizeWeight(w, 8);
+        const WeightPanel16 panel = quantizeWeightPanel(w, 8, threaded);
+        ASSERT_EQ(panel.codes.rows, k);
+        ASSERT_EQ(panel.codes.cols, 64);
+        EXPECT_EQ(panel.colScale, qw.colScale);
+        EXPECT_EQ(panel.colScale[0], 1.f);
+        EXPECT_EQ(panel.colScale[1], 1.f);
+        for (int r = 0; r < k; ++r)
+            for (int c = 0; c < 64; ++c)
+                ASSERT_EQ(int32_t(panel.codes.rowPtr(r)[c]), qw.codes(r, c))
+                    << "k=" << k << " r=" << r << " c=" << c;
+        for (int r = 1; r < k; ++r) {
+            EXPECT_EQ(qw.codes(r, 0), 0);
+            EXPECT_EQ(qw.codes(r, 1) % 2, 0) << "tie at r=" << r;
+        }
+    }
+}
+
+TEST(Kernels, DecodeShapedTenderBitIdenticalOnEveryArm)
+{
+    // Decode-sized row counts (one chunk, fewer rows than the blocked
+    // accumulate's four-row unroll) at the serving projections' K and N.
+    Rng rng(22);
+    TenderConfig cfg;
+    KernelContext serial(Backend::Serial);
+    KernelContext threaded(Backend::Threaded, 2);
+    KernelContext packed(Backend::Packed, 2);
+    for (int m : {1, 3, 8}) {
+        for (int k : {512, 1792}) {
+            for (int n : {64, 512}) {
+                SCOPED_TRACE(::testing::Message()
+                             << "m=" << m << " k=" << k << " n=" << n);
+                const Matrix x = outlierActivation(m, k, rng);
+                const Matrix w = decodeWeight(k, n, rng);
+                const std::vector<ChunkMeta> metas = {
+                    decomposeChunk(x, cfg)};
+                TenderGemmStats want;
+                const Matrix y = tenderMatmul(x, w, cfg, &want, &serial);
+                TenderGemmStats want_cal;
+                const Matrix y_cal = tenderMatmulCalibrated(
+                    x, w, metas, cfg, &want_cal, &serial);
+                const Matrix y_exp = tenderMatmulExplicit(x, w, cfg,
+                                                          &serial);
+                for (const KernelContext *kc : {&threaded, &packed}) {
+                    TenderGemmStats got;
+                    EXPECT_TRUE(tenderMatmul(x, w, cfg, &got, kc) == y);
+                    expectStatsEqual(got, want);
+                    TenderGemmStats got_cal;
+                    EXPECT_TRUE(tenderMatmulCalibrated(x, w, metas, cfg,
+                                                       &got_cal, kc) ==
+                                y_cal);
+                    expectStatsEqual(got_cal, want_cal);
+                    EXPECT_TRUE(tenderMatmulExplicit(x, w, cfg, kc) ==
+                                y_exp);
+                }
+            }
+        }
+    }
+}
+
 TEST(Kernels, DefaultContextIsConfigurable)
 {
     setDefaultKernels(Backend::Threaded, 2);

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "quant/quantizer.h"
 #include "util/rng.h"
@@ -51,6 +52,27 @@ TEST(QuantizeValue, ClampsOutOfRange)
     EXPECT_EQ(quantizeValue(-1000.f, 1.f, 8), -127);
     EXPECT_EQ(quantizeValue(1000.f, 1.f, 4), 7);
     EXPECT_EQ(quantizeValue(-1000.f, 1.f, 4), -7);
+}
+
+TEST(QuantizeValue, SaturatesBeyondInt32Range)
+{
+    // Quotients outside int32 clamp in float, keeping their sign.
+    EXPECT_EQ(quantizeValue(1e12f, 0.01f, 8), 127);
+    EXPECT_EQ(quantizeValue(-1e12f, 0.01f, 8), -127);
+    EXPECT_EQ(quantizeValue(std::numeric_limits<float>::infinity(), 1.f, 8),
+              127);
+    EXPECT_EQ(quantizeValue(-std::numeric_limits<float>::infinity(), 1.f,
+                            8),
+              -127);
+    EXPECT_EQ(quantizeValue(std::nanf(""), 1.f, 8), -127);
+}
+
+TEST(QuantizeValue, TiesRoundToEven)
+{
+    EXPECT_EQ(quantizeValue(0.5f, 1.f, 8), 0);
+    EXPECT_EQ(quantizeValue(1.5f, 1.f, 8), 2);
+    EXPECT_EQ(quantizeValue(2.5f, 1.f, 8), 2);
+    EXPECT_EQ(quantizeValue(-2.5f, 1.f, 8), -2);
 }
 
 TEST(QuantizeValue, SymmetricRange)

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "core/tender_gemm.h"
 #include "core/tender_scheme.h"
@@ -296,6 +297,27 @@ TEST(TenderGemm, CalibratedClampsUnseenMagnitudes)
     Matrix ref = gemm(x_eval, w);
     EXPECT_GT(nmse(ref, y), 0.0);
     EXPECT_LT(nmse(ref, y), 1.0);
+
+    // An outlier whose quotient lies beyond the int32 range saturates to
+    // the code of its own sign (a conversion before the clamp would turn
+    // +3e9 into INT_MIN and then into -k).
+    const int32_t k = maxCode(cfg.bits);
+    Matrix x_far = x_eval;
+    x_far(0, 0) = 3e9f;
+    x_far(1, 0) = -3e9f;
+    x_far(2, 3) = std::numeric_limits<float>::infinity();
+    const QuantizedChunk qc = quantizeChunk(x_far, metas[0], cfg.bits);
+    EXPECT_EQ(qc.codes(0, 0), k);
+    EXPECT_EQ(qc.codes(1, 0), -k);
+    EXPECT_EQ(qc.codes(2, 3), k);
+    KernelContext serial(Backend::Serial);
+    const Matrix y_far =
+        tenderMatmulCalibrated(x_far, w, metas, cfg, nullptr, &serial);
+    for (Backend backend : {Backend::Threaded, Backend::Packed}) {
+        KernelContext kc(backend, 2);
+        EXPECT_TRUE(tenderMatmulCalibrated(x_far, w, metas, cfg, nullptr,
+                                           &kc) == y_far);
+    }
 }
 
 TEST(TenderGemm, RowChunkingHelpsTokenVariance)
