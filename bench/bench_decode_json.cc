@@ -76,14 +76,13 @@
  * home after drain in both arms of all three modes).
  *
  * The "spec_decode" scenario measures speculative decoding
- * (docs/speculation.md) on a repetitive-suffix workload: the
- * prompt-lookup and draft-model drafters at k in {2, 4, 8} against the
- * plain baseline, per KV arm (fp32 / tender / tender_fused). Recorded
- * per point: tokens/s, acceptance rate, drafted/accepted counts, steps,
- * speedup over plain; gated: spec_decode_bitexact — every speculative
- * run's tokens are bit-identical to the plain run's in every arm, at
- * every k, with both drafters (the accept-only-what-the-model-would-emit
- * verification contract).
+ * (docs/speculation.md) on a repetitive-suffix workload: prompt lookup
+ * at k in {2, 4, 8} against the plain baseline, per KV arm (fp32 /
+ * tender / tender_fused). Recorded per point: tokens/s, acceptance rate,
+ * drafted/accepted counts, steps, speedup over plain; gated:
+ * spec_decode_bitexact — every speculative run's tokens are
+ * bit-identical to the plain run's in every arm, at every k (the
+ * accept-only-what-the-model-would-emit verification contract).
  *
  * The "correctness" block records machine-checkable invariants (fp32
  * decode bit-parity with full prefill, quantized-KV NMSE under its
@@ -103,8 +102,8 @@
  * comparison a usable signal instead of noise.
  *
  * Usage: bench_decode_json [--smoke] [prompt new_tokens workers out.json]
- * Defaults: 16 32 8 BENCH_decode.json (--smoke: 8 6 2, reduced batches
- * and churn, for the CI smoke job).
+ * Defaults: 16 32, one worker per hardware thread, BENCH_decode.json
+ * (--smoke: 8 6 2, reduced batches and churn, for the CI smoke job).
  */
 
 #include <chrono>
@@ -1249,8 +1248,10 @@ main(int argc, char **argv)
         positional.size() > 0 ? std::atoi(positional[0]) : (smoke ? 8 : 16);
     const int new_tokens =
         positional.size() > 1 ? std::atoi(positional[1]) : (smoke ? 6 : 32);
-    const int workers =
-        positional.size() > 2 ? std::atoi(positional[2]) : (smoke ? 2 : 8);
+    const int host_workers =
+        std::max(1, int(std::thread::hardware_concurrency()));
+    const int workers = positional.size() > 2 ? std::atoi(positional[2])
+                                              : (smoke ? 2 : host_workers);
     const char *out_path =
         positional.size() > 3 ? positional[3] : "BENCH_decode.json";
 
@@ -1491,7 +1492,7 @@ main(int argc, char **argv)
                 fault_bitexact ? "bit-exact" : "DIVERGED",
                 fault_accounting_ok ? "settled" : "LEAKED");
 
-    // Speculative decoding on a repetitive-suffix workload: both drafters
+    // Speculative decoding on a repetitive-suffix workload: prompt lookup
     // at k in {2, 4, 8} against the plain baseline, per KV arm. The gate
     // is bit-identity (speculation may never change tokens); the headline
     // number is the best end-to-end speedup, which must clear 1x with
@@ -1506,7 +1507,7 @@ main(int argc, char **argv)
                                        KVCacheMode::TenderQuantized};
     const bool spec_fused[3] = {false, false, true};
     double spec_plain_tps[3] = {0, 0, 0};
-    SpecPoint spec_pl[3][3], spec_dm[3][3];
+    SpecPoint spec_pl[3][3];
     bool spec_bitexact = true;
     double spec_best_speedup = 0.0;
     int spec_best_k = 0;
@@ -1524,12 +1525,7 @@ main(int argc, char **argv)
                                      DrafterKind::PromptLookup,
                                      spec_ks[ki], spec_batch, spec_prompt,
                                      spec_new, reps, &plain_tokens);
-            spec_dm[a][ki] = runSpec(model, kc, spec_modes[a],
-                                     spec_fused[a], DrafterKind::Model,
-                                     spec_ks[ki], spec_batch, spec_prompt,
-                                     spec_new, reps, &plain_tokens);
-            spec_bitexact = spec_bitexact && spec_pl[a][ki].bitexact &&
-                            spec_dm[a][ki].bitexact;
+            spec_bitexact = spec_bitexact && spec_pl[a][ki].bitexact;
             const double speedup =
                 spec_pl[a][ki].tokensPerS / plain.tokensPerS;
             if (speedup > spec_best_speedup) {
@@ -1546,11 +1542,9 @@ main(int argc, char **argv)
                 spec_bitexact ? "bit-exact vs plain" : "DIVERGED");
     for (int a = 0; a < 3; ++a)
         std::printf("  %-12s plain %7.1f tok/s | lookup k=4 %7.1f tok/s "
-                    "(accept %.2f) | draft-model k=4 %7.1f tok/s "
                     "(accept %.2f)\n",
                     spec_names[a], spec_plain_tps[a],
-                    spec_pl[a][1].tokensPerS, spec_pl[a][1].acceptance,
-                    spec_dm[a][1].tokensPerS, spec_dm[a][1].acceptance);
+                    spec_pl[a][1].tokensPerS, spec_pl[a][1].acceptance);
 
     const Correctness correct = checkCorrectness(model, kc);
     std::printf("correctness: fp32 decode %s full prefill, tender-KV "
@@ -1664,24 +1658,21 @@ main(int argc, char **argv)
         std::fprintf(f, "    \"%s\": {\n", spec_names[a]);
         std::fprintf(f, "      \"plain_tokens_per_s\": %.2f,\n",
                      spec_plain_tps[a]);
-        const char *drafters[2] = {"prompt_lookup", "draft_model"};
-        for (int d = 0; d < 2; ++d) {
-            const SpecPoint *row = d == 0 ? spec_pl[a] : spec_dm[a];
-            std::fprintf(f, "      \"%s\": {\n", drafters[d]);
-            for (int ki = 0; ki < 3; ++ki)
-                std::fprintf(f,
-                             "        \"k_%d\": {\"tokens_per_s\": %.2f, "
-                             "\"acceptance\": %.4f, \"drafted\": %lld, "
-                             "\"accepted\": %lld, \"steps\": %lld, "
-                             "\"speedup\": %.3f}%s\n",
-                             spec_ks[ki], row[ki].tokensPerS,
-                             row[ki].acceptance, (long long)row[ki].drafted,
-                             (long long)row[ki].accepted,
-                             (long long)row[ki].steps,
-                             row[ki].tokensPerS / spec_plain_tps[a],
-                             ki < 2 ? "," : "");
-            std::fprintf(f, "      }%s\n", d == 0 ? "," : "");
-        }
+        const SpecPoint *row = spec_pl[a];
+        std::fprintf(f, "      \"prompt_lookup\": {\n");
+        for (int ki = 0; ki < 3; ++ki)
+            std::fprintf(f,
+                         "        \"k_%d\": {\"tokens_per_s\": %.2f, "
+                         "\"acceptance\": %.4f, \"drafted\": %lld, "
+                         "\"accepted\": %lld, \"steps\": %lld, "
+                         "\"speedup\": %.3f}%s\n",
+                         spec_ks[ki], row[ki].tokensPerS,
+                         row[ki].acceptance, (long long)row[ki].drafted,
+                         (long long)row[ki].accepted,
+                         (long long)row[ki].steps,
+                         row[ki].tokensPerS / spec_plain_tps[a],
+                         ki < 2 ? "," : "");
+        std::fprintf(f, "      }\n");
         std::fprintf(f, "    },\n");
     }
     std::fprintf(f,

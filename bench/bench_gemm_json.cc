@@ -17,8 +17,9 @@
  * binary's own exit code.
  *
  * Usage: bench_gemm_json [--smoke] [m k n workers out.json]
- * Defaults: 512 4096 4096 8 BENCH_gemm.json (the ISSUE-1 workload);
- * --smoke shrinks to 64x256x256 with 2 workers for the CI smoke job.
+ * Defaults: 512 4096 4096, one worker per hardware thread,
+ * BENCH_gemm.json; --smoke shrinks to 64x256x256 with 2 workers for the
+ * CI smoke job.
  */
 
 #include <chrono>
@@ -96,8 +97,10 @@ main(int argc, char **argv)
                                         : (smoke ? 256 : 4096);
     const int n = positional.size() > 2 ? std::atoi(positional[2])
                                         : (smoke ? 256 : 4096);
-    const int workers =
-        positional.size() > 3 ? std::atoi(positional[3]) : (smoke ? 2 : 8);
+    const int host_workers =
+        std::max(1, int(std::thread::hardware_concurrency()));
+    const int workers = positional.size() > 3 ? std::atoi(positional[3])
+                                              : (smoke ? 2 : host_workers);
     const char *out_path =
         positional.size() > 4 ? positional[4] : "BENCH_gemm.json";
 

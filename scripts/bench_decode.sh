@@ -11,8 +11,9 @@
 # perf trajectory, PR over PR).
 #
 # Usage: scripts/bench_decode.sh [--smoke] [prompt new_tokens workers [out.json]]
-# Defaults: 16 32 8 BENCH_decode.json; --smoke runs the reduced CI sizes
-# and still records the gated correctness fields (scripts/check_bench.py).
+# Defaults: 16 32, one worker per hardware thread, BENCH_decode.json;
+# --smoke runs the reduced CI sizes and still records the gated
+# correctness fields (scripts/check_bench.py).
 # TENDER_CMAKE_ARGS adds configure flags (CI passes the ccache launcher).
 set -euo pipefail
 cd "$(dirname "$0")/.."

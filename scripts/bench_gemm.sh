@@ -4,7 +4,7 @@
 # BENCH_gemm.json at the repo root (perf trajectory, PR over PR).
 #
 # Usage: scripts/bench_gemm.sh [--smoke] [m k n workers [out.json]]
-# Defaults to the ISSUE-1 workload: 512 4096 4096 8 BENCH_gemm.json;
+# Defaults: 512 4096 4096, one worker per hardware thread, BENCH_gemm.json;
 # --smoke runs the reduced CI sizes and still records the gated
 # correctness fields (scripts/check_bench.py).
 # TENDER_CMAKE_ARGS adds configure flags (CI passes the ccache launcher).

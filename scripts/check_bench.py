@@ -52,7 +52,7 @@ recorded correctness field regresses:
         its KV blocks and undrawn reservation: the pool settles to zero
         after the faulted run drains
     spec_decode.spec_decode_bitexact   every speculative run's tokens
-        (both drafters, every k, all three KV arms) are bit-identical
+        (prompt lookup, every k, all three KV arms) are bit-identical
         to the plain run's — the accept-only-what-the-model-would-emit
         verification contract (docs/speculation.md); acceptance rates
         and speedups are recorded, never gated (workload-dependent)
@@ -254,15 +254,14 @@ def check_decode(path):
                  "disagrees with)")
         for mode in ("fp32", "tender", "tender_fused"):
             arm = spec[mode]
-            for drafter in ("prompt_lookup", "draft_model"):
-                for k in (2, 4, 8):
-                    point = arm[drafter][f"k_{k}"]
-                    # Presence is the gate; acceptance and speedup are
-                    # workload- and runner-dependent, recorded only.
-                    for field in ("tokens_per_s", "acceptance", "speedup"):
-                        if field not in point:
-                            fail(f"{path}: spec_decode.{mode}.{drafter}."
-                                 f"k_{k}.{field} missing")
+            for k in (2, 4, 8):
+                point = arm["prompt_lookup"][f"k_{k}"]
+                # Presence is the gate; acceptance and speedup are
+                # workload- and runner-dependent, recorded only.
+                for field in ("tokens_per_s", "acceptance", "speedup"):
+                    if field not in point:
+                        fail(f"{path}: spec_decode.{mode}.prompt_lookup."
+                             f"k_{k}.{field} missing")
             best_pl = max(arm["prompt_lookup"][f"k_{k}"]["speedup"]
                           for k in (2, 4, 8))
             print(f"check_bench: {path}: spec_decode.{mode} plain "
@@ -317,10 +316,9 @@ def iter_tokens_per_s(doc):
         if arm is None:
             continue
         yield f"spec_decode.{mode}.plain", arm["plain_tokens_per_s"]
-        for drafter in ("prompt_lookup", "draft_model"):
-            for k, point in arm.get(drafter, {}).items():
-                yield (f"spec_decode.{mode}.{drafter}.{k}",
-                       point["tokens_per_s"])
+        for k, point in arm.get("prompt_lookup", {}).items():
+            yield (f"spec_decode.{mode}.prompt_lookup.{k}",
+                   point["tokens_per_s"])
 
 
 def compare_baseline(doc, baseline_path):

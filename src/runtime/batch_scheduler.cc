@@ -109,6 +109,10 @@ BatchScheduler::submit(const GenRequest &request)
                    "speculative decoding cannot run with a quantizing"
                    " GemmScheme: multi-row verification steps would shift"
                    " the scheme's row-chunk scales and change tokens");
+    TENDER_REQUIRE(request.speculation.drafter == DrafterKind::None ||
+                   (request.speculation.maxDraft > 0 &&
+                    request.speculation.lookupMaxNgram > 0),
+                   "speculation needs maxDraft > 0 and lookupMaxNgram > 0");
     // Front-door load shedding: reject new work the moment the queue is
     // at its bound, rather than letting latency grow without limit.
     // Internal re-queues (preemption's push_front in preemptVictim) do
@@ -304,16 +308,10 @@ BatchScheduler::tryAdmit(size_t index)
         ++stats_.resumes;
         stats_.resumedRowsReused += m.rows;
     }
-    // A fresh drafter at every (re-)admission: drafts are a pure function
-    // of the token sequence, so a resumed request's drafter re-proposes
-    // exactly what the uninterrupted run's would have (the ModelDrafter
-    // just re-feeds the whole sequence once instead of incrementally).
-    std::unique_ptr<Drafter> drafter = makeDrafter(
-        p.request.speculation, options_.vocabSize, options_.vocabSeed);
     Active a{std::move(p.request), std::move(cache),
              vocab_.embedAll(first_segment), true, std::move(p.generated),
              p.steps, p.preemptions, resume, std::move(replay),
-             std::move(drafter), {}, p.drafted, p.acceptedDrafts};
+             {}, p.drafted, p.acceptedDrafts};
     pending_.erase(pending_.begin() + index);
     if (a.request.onAdmit)
         a.request.onAdmit();
@@ -655,7 +653,7 @@ void
 BatchScheduler::stageNextInput(Active &a)
 {
     a.pendingDraft.clear();
-    if (a.drafter) {
+    if (a.request.speculation.drafter == DrafterKind::PromptLookup) {
         // Draft-length cap, part 1: k <= remaining - 1 keeps the verify
         // step's transient KV peak within the admission reservation
         // (prompt + maxNewTokens - 1 rows): feeding 1 + k rows on top of
@@ -680,15 +678,16 @@ BatchScheduler::stageNextInput(Active &a)
             std::vector<int> tokens = a.request.promptTokens;
             tokens.insert(tokens.end(), a.generated.begin(),
                           a.generated.end());
-            a.pendingDraft = a.drafter->draft(tokens, k);
+            a.pendingDraft = promptLookupDraft(
+                tokens, a.request.speculation.lookupMaxNgram, k);
             TENDER_CHECK_MSG(int(a.pendingDraft.size()) <= k,
-                             "drafter " << a.drafter->name()
-                             << " returned " << a.pendingDraft.size()
+                             "prompt lookup returned "
+                             << a.pendingDraft.size()
                              << " tokens for a cap of " << k);
             for (const int t : a.pendingDraft)
                 TENDER_CHECK_MSG(t >= 0 && t < vocab_.size(),
-                                 "drafter " << a.drafter->name()
-                                 << " proposed out-of-vocab token " << t);
+                                 "prompt lookup proposed out-of-vocab"
+                                 " token " << t);
         }
         if (a.pendingDraft.empty())
             ++stats_.specFallbackSteps;

@@ -279,7 +279,7 @@ struct SchedulerStats
      *  draftedTokens is the fleet acceptance rate. */
     int64_t acceptedDraftTokens = 0;
     /** Steps where a speculating request fell back to a plain single-row
-     *  step (drafter proposed nothing, draft budget exhausted, or the
+     *  step (prompt lookup proposed nothing, draft budget exhausted, or the
      *  quantized open-chunk cap left no room). */
     int64_t specFallbackSteps = 0;
 };
@@ -368,11 +368,6 @@ class BatchScheduler
          *  the open quantized chunk as scaled over the rows present at
          *  its own step's end — see tryAdmit. */
         std::deque<int> replay;
-        /** Draft proposer (null = not speculating). Rebuilt fresh at
-         *  every (re-)admission: drafts are a pure function of the token
-         *  sequence, so a resume proposes exactly what the uninterrupted
-         *  run would have. */
-        std::unique_ptr<Drafter> drafter;
         /** Draft tokens stacked into the step currently in flight
          *  (empty = this step is a plain single-row or prefill step). */
         std::vector<int> pendingDraft;

@@ -1,46 +1,33 @@
 /**
  * @file
- * Draft-token proposers for speculative decoding (docs/speculation.md).
+ * Prompt-lookup draft proposals for speculative decoding
+ * (docs/speculation.md).
  *
- * A Drafter proposes a short continuation of a request's token sequence
- * (prompt plus everything generated so far). The scheduler stacks the
- * proposed tokens into one multi-row *verification* step — the same
- * segment shape prefill already uses — reads the model's token at every
- * drafted position, and accepts the longest agreeing prefix; rejected
- * rows are popped again with KVCache::truncateRows. Acceptance compares
- * against exactly the token the request's own readout (greedy argmax or
- * the seeded sampler) would have produced, so speculative decode emits
- * bit-identical tokens to plain decode — the drafter only changes how
- * many scheduler iterations that takes.
+ * promptLookupDraft proposes a short continuation of a request's token
+ * sequence (prompt plus everything generated so far). The scheduler
+ * stacks the proposed tokens into one multi-row *verification* step —
+ * the same segment shape prefill already uses — reads the model's token
+ * at every drafted position, and accepts the longest agreeing prefix;
+ * rejected rows are popped again with KVCache::truncateRows. Acceptance
+ * compares against exactly the token the request's own readout (greedy
+ * argmax or the seeded sampler) would have produced, so speculative
+ * decode emits bit-identical tokens to plain decode — the draft only
+ * changes how many scheduler iterations that takes.
  *
- * The contract every Drafter must honor: draft(tokens, k) is a pure
- * function of `tokens` (and the drafter's own construction parameters).
- * Internal state is allowed as a cache of work — ModelDrafter keeps its
- * own KV cache warm across calls — but must never make the proposal
- * depend on call history, admission order, batch size, or worker count;
- * that is what keeps speculative scheduling inside the runtime's
- * scheduling-independence contract (tests/test_speculation.cc).
- *
- * Two implementations:
- *  - PromptLookupDrafter: n-gram prompt lookup. Find the longest suffix
- *    of `tokens` (up to maxNgram tokens) that re-occurs earlier in the
- *    sequence, take the most recent earlier occurrence, and propose the
- *    tokens that followed it. Zero model cost; strong on the repetitive
- *    continuations greedy decode settles into.
- *  - ModelDrafter: a small synthetic-config draft model sharing the
- *    target's token-id space. Greedy-decodes k tokens with its own
- *    DecodeEngine-style loop over a private fp32 KVCache, rolling the
- *    cache back to the common prefix between calls (truncateRows), so
- *    each call costs only the new suffix plus the drafted rows.
+ * The proposal is n-gram prompt lookup: find the longest suffix of
+ * `tokens` (up to maxNgram tokens) that re-occurs earlier in the
+ * sequence, take the most recent earlier occurrence, and propose the
+ * tokens that followed it. It costs no model work, holds no state, and
+ * is a function of its arguments alone, so it never depends on call
+ * history, admission order, batch size or worker count — that keeps
+ * speculative scheduling inside the runtime's scheduling-independence
+ * contract (tests/test_speculation.cc).
  */
 
 #ifndef TENDER_RUNTIME_DRAFT_H
 #define TENDER_RUNTIME_DRAFT_H
 
-#include <memory>
 #include <vector>
-
-#include "runtime/decode_engine.h"
 
 namespace tender {
 
@@ -49,7 +36,6 @@ enum class DrafterKind
 {
     None = 0,     ///< speculation off (plain one-token steps)
     PromptLookup, ///< n-gram suffix lookup in prompt + generated
-    Model,        ///< small synthetic draft model, shared token ids
 };
 
 const char *drafterKindName(DrafterKind kind);
@@ -72,80 +58,15 @@ struct SpeculationParams
     int maxDraft = 4;
     /** PromptLookup: longest suffix n-gram tried before giving up. */
     int lookupMaxNgram = 3;
-    /** Model drafter: hidden width of the small draft model (multiple of
-     *  4; its 4 heads divide it). */
-    int draftDModel = 32;
-    /** Model drafter: transformer blocks of the draft model. */
-    int draftLayers = 2;
-    /** Model drafter: weight seed of the draft model (distinct seeds give
-     *  independent drafters over the same token-id space). */
-    uint64_t draftSeed = 0xd12a;
 };
 
-/** Draft-token proposer interface; see file comment for the purity
- *  contract. */
-class Drafter
-{
-  public:
-    virtual ~Drafter() = default;
-
-    virtual const char *name() const = 0;
-
-    /** Propose up to `max_tokens` (>= 1) continuation tokens for
-     *  `tokens` (the request's prompt plus generated tokens, non-empty).
-     *  May return fewer, or empty — the scheduler then runs a plain
-     *  single-row step. Must be a pure function of `tokens`. */
-    virtual std::vector<int> draft(const std::vector<int> &tokens,
-                                   int max_tokens) = 0;
-};
-
-/** N-gram prompt-lookup drafter (stateless). */
-class PromptLookupDrafter : public Drafter
-{
-  public:
-    explicit PromptLookupDrafter(int max_ngram);
-
-    const char *name() const override { return "prompt-lookup"; }
-
-    std::vector<int> draft(const std::vector<int> &tokens,
-                           int max_tokens) override;
-
-  private:
-    int maxNgram_;
-};
-
-/** Small-model drafter over the shared token-id space. */
-class ModelDrafter : public Drafter
-{
-  public:
-    /** `vocab_size`/`vocab_seed` must match the scheduler's Vocab so the
-     *  drafted ids and the verified ids live in one token space (the
-     *  drafter's embedding/readout tables are its own — only the id
-     *  space is shared). */
-    ModelDrafter(int vocab_size, uint64_t vocab_seed,
-                 const SpeculationParams &params);
-
-    const char *name() const override { return "model"; }
-
-    std::vector<int> draft(const std::vector<int> &tokens,
-                           int max_tokens) override;
-
-  private:
-    /** Greedy next token after the currently fed sequence, reading the
-     *  last row of `hidden`. */
-    int argmaxLast(const Matrix &hidden) const;
-
-    SyntheticModel model_;
-    Vocab vocab_;
-    KVCache cache_;
-    std::vector<int> fed_; ///< tokens whose rows `cache_` currently holds
-};
-
-/** Build the drafter `params` asks for (validating its fields), or null
- *  for DrafterKind::None. `vocab_size`/`vocab_seed` are the scheduler's
- *  Vocab parameters (the shared token-id space). */
-std::unique_ptr<Drafter> makeDrafter(const SpeculationParams &params,
-                                     int vocab_size, uint64_t vocab_seed);
+/** Propose up to `max_tokens` (>= 1) continuation tokens for `tokens`
+ *  (the request's prompt plus generated tokens, non-empty) by n-gram
+ *  prompt lookup over suffixes of at most `max_ngram` (> 0) tokens. May
+ *  return fewer, or none — the scheduler then runs a plain single-row
+ *  step. */
+std::vector<int> promptLookupDraft(const std::vector<int> &tokens,
+                                   int max_ngram, int max_tokens);
 
 } // namespace tender
 

@@ -233,6 +233,10 @@ ServeSession::submit(const ServeRequest &request)
             fail(track, "speculation.maxDraft must be positive");
             return id;
         }
+        if (request.speculation.lookupMaxNgram <= 0) {
+            fail(track, "speculation.lookupMaxNgram must be positive");
+            return id;
+        }
     }
     const size_t cap = options_.scheduler.kvPoolBlocks;
     if (cap > 0) {

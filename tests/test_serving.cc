@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <string>
 
 #include "model/workload.h"
 #include "runtime/batch_scheduler.h"
@@ -409,6 +410,43 @@ TEST(ServeSession, FrontDoorValidationFailsFast)
     // Failed submissions surface through drain() like any retirement.
     EXPECT_EQ(5u, session.drain().size());
     EXPECT_EQ(0, int(session.scheduler().stats().admitted));
+}
+
+TEST(ServeSession, BadLookupNgramFailsOnlyItsOwnRequest)
+{
+    // A speculation setting the scheduler cannot run must retire only
+    // that request at the front door: before it was validated there, the
+    // scheduler's fatal check fired at admission mid-drain and took the
+    // co-submitted valid request (and the process) down with it.
+    SyntheticModel model(smallDecoder(), 59);
+    KernelContext kc(Backend::Serial);
+    ServeSessionOptions options;
+    options.scheduler.vocabSize = 32;
+    options.scheduler.decode.kernels = &kc;
+    ServeSession session(model, options);
+
+    ServeRequest good;
+    good.promptTokens = {3, 1, 4, 3, 1, 4};
+    good.maxNewTokens = 6;
+    good.speculation.drafter = DrafterKind::PromptLookup;
+    ServeRequest bad = good;
+    bad.speculation.lookupMaxNgram = 0;
+
+    const int good_id = session.submit(good);
+    const int bad_id = session.submit(bad);
+    EXPECT_EQ(RequestState::Failed, session.state(bad_id));
+    EXPECT_EQ(2u, session.drain().size());
+
+    const ServeResult *failed = session.result(bad_id);
+    ASSERT_NE(nullptr, failed);
+    EXPECT_EQ(FinishReason::Failed, failed->reason);
+    EXPECT_EQ(FailureReason::InvalidRequest, failed->failure);
+    EXPECT_NE(std::string::npos, failed->error.find("lookupMaxNgram"));
+    const ServeResult *done = session.result(good_id);
+    ASSERT_NE(nullptr, done);
+    EXPECT_EQ(RequestState::Finished, done->state);
+    EXPECT_EQ(6u, done->tokens.size());
+    EXPECT_EQ(1, int(session.scheduler().stats().admitted));
 }
 
 TEST(ServeSession, LatencyMetricsCoverEveryToken)
